@@ -49,14 +49,26 @@ std::string_view reason_phrase(int status) {
 
 std::string format_response(int status, std::string_view content_type, std::string_view body,
                             std::string_view server_name) {
-  std::ostringstream out;
-  out << "HTTP/1.0 " << status << ' ' << reason_phrase(status) << "\r\n"
-      << "Server: " << server_name << "\r\n"
-      << "Content-Type: " << content_type << "\r\n"
-      << "Content-Length: " << body.size() << "\r\n"
-      << "Connection: close\r\n\r\n"
-      << body;
-  return out.str();
+  const std::string status_text = std::to_string(status);
+  const std::string length_text = std::to_string(body.size());
+  const std::string_view reason = reason_phrase(status);
+  std::string out;  // one allocation: the fixed header text is 77 bytes
+  out.reserve(77 + status_text.size() + reason.size() + server_name.size() +
+              content_type.size() + length_text.size() + body.size());
+  out.append("HTTP/1.0 ").append(status_text).append(" ").append(reason).append("\r\n");
+  out.append("Server: ").append(server_name).append("\r\n");
+  out.append("Content-Type: ").append(content_type).append("\r\n");
+  out.append("Content-Length: ").append(length_text).append("\r\n");
+  out.append("Connection: close\r\n\r\n");
+  out.append(body);
+  return out;
+}
+
+bool is_ok_reply(std::string_view reply, std::string_view expected_body) {
+  if (!reply.starts_with("HTTP/1.0 200")) return false;
+  const auto sep = reply.find("\r\n\r\n");
+  if (sep == std::string_view::npos) return false;
+  return reply.substr(sep + 4) == expected_body;
 }
 
 sim::CoTask<std::optional<Request>> read_request(Ctx c, nt::net::Socket& sock,

@@ -37,6 +37,10 @@ std::string format_response(int status, std::string_view content_type, std::stri
 
 std::string_view reason_phrase(int status);
 
+/// True when `reply` is a 200 response whose body is exactly `expected_body`
+/// — the correctness check DTS clients and topology relays apply.
+bool is_ok_reply(std::string_view reply, std::string_view expected_body);
+
 /// Reads one request (through the terminating blank line) from a socket.
 sim::CoTask<std::optional<Request>> read_request(Ctx c, nt::net::Socket& sock,
                                                  sim::Duration timeout);

@@ -33,7 +33,8 @@ struct IisState {
   /// corrupted during the first fill is served to every later request — a
   /// persistent wrong-response loop that no restart-based middleware
   /// observes, one of the Apache-vs-IIS reliability gaps the paper measured.
-  std::map<std::string, std::string> content_cache;
+  /// Bodies are shared with the requests they serve, never copied per hit.
+  std::map<std::string, std::shared_ptr<const std::string>> content_cache;
 };
 
 /// Init phase A: process environment and system discovery.
@@ -218,10 +219,8 @@ sim::CoTask<void> iis_log_request(const Api& api, const IisConfig& cfg, IisState
 /// Serves a static file with IIS's request-path machinery: header parsing
 /// through the lstr/locale functions, a file-mapping content cache warmed on
 /// first use, then CreateFileA + GetFileSize + ReadFile.
-sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
-                                                          const IisConfig& cfg,
-                                                          IisState* state,
-                                                          const http::Request& req) {
+sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static(
+    const Api& api, const IisConfig& cfg, IisState* state, const http::Request& req) {
   // Header / URL processing (user-mode string machinery, request-path
   // first invocations).
   const Ptr urlbuf = api.buf(520);
@@ -262,14 +261,16 @@ sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
 
   const Word attrs = co_await api(Fn::GetFileAttributesA, api.str(full).addr);
   if (attrs == nt::kInvalidFileAttributes) {
-    co_return std::pair{404, std::string("<html><body><h1>404 Object Not Found</h1></body></html>")};
+    co_return std::pair{404, std::make_shared<const std::string>(
+                                 "<html><body><h1>404 Object Not Found</h1></body></html>")};
   }
   co_await api.cpu(cfg.static_request_cost);
 
   const Word h = co_await api(Fn::CreateFileA, api.str(full).addr, nt::kGenericRead, 1, 0,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) {
-    co_return std::pair{500, std::string("<html><body><h1>500 Server Error</h1></body></html>")};
+    co_return std::pair{500, std::make_shared<const std::string>(
+                                 "<html><body><h1>500 Server Error</h1></body></html>")};
   }
   const Ptr size_high = api.buf(4);
   const Word size = co_await api(Fn::GetFileSize, h, size_high.addr);
@@ -293,8 +294,9 @@ sim::CoTask<std::pair<int, std::string>> iis_serve_static(const Api& api,
     }
   }
   (void)co_await api(Fn::CloseHandle, h);
-  state->content_cache.emplace(full, body);  // whatever we computed is cached
-  co_return std::pair{200, std::move(body)};
+  auto shared = std::make_shared<const std::string>(std::move(body));
+  state->content_cache.emplace(full, shared);  // whatever we computed is cached
+  co_return std::pair{200, std::move(shared)};
 }
 
 /// The worker thread: drains the queue and serves requests.
@@ -323,22 +325,23 @@ sim::Task iis_worker_thread(Ctx c, IisConfig cfg, std::shared_ptr<IisState> stat
     auto req = co_await http::read_request(c, *sock, sim::Duration::seconds(30));
     if (!req) continue;
 
-    std::string body;
+    std::shared_ptr<const std::string> body;
     int status = 200;
     if (req->path().rfind("/cgi-bin/", 0) == 0 || req->path().rfind("/scripts/", 0) == 0) {
       auto out = co_await http::run_cgi(api, "cgi.exe", *req, cfg.cgi_timeout);
       if (out) {
-        body = std::move(*out);
+        body = std::make_shared<const std::string>(std::move(*out));
       } else {
         status = 500;
-        body = "<html><body><h1>500 Server Error</h1></body></html>";
+        body = std::make_shared<const std::string>(
+            "<html><body><h1>500 Server Error</h1></body></html>");
       }
     } else {
       auto [st, b] = co_await iis_serve_static(api, cfg, state.get(), *req);
       status = st;
       body = std::move(b);
     }
-    sock->send(http::format_response(status, "text/html", body, "Microsoft-IIS/3.0"));
+    sock->send(http::format_response(status, "text/html", *body, "Microsoft-IIS/3.0"));
     co_await iis_log_request(api, cfg, state.get(),
                              req->method + " " + req->target + " " + std::to_string(status));
   }

@@ -1,6 +1,7 @@
 #include "core/clients.h"
 
 #include "apps/ftp.h"
+#include "apps/http.h"
 
 #include <functional>
 
@@ -58,7 +59,11 @@ sim::CoTask<RequestResult> attempt_request(
         break;
       }
       if (chunk->empty()) break;  // EOF: reply complete (or connection reset)
-      reply += *chunk;
+      if (reply.empty()) {
+        reply = std::move(*chunk);
+      } else {
+        reply += *chunk;
+      }
     }
 
     if (!reply.empty()) result.any_response = true;
@@ -81,13 +86,6 @@ sim::CoTask<RequestResult> attempt_request(
   co_return result;
 }
 
-bool http_ok(const std::string& reply, const std::string& expected_body) {
-  if (reply.rfind("HTTP/1.0 200", 0) != 0) return false;
-  const auto sep = reply.find("\r\n\r\n");
-  if (sep == std::string::npos) return false;
-  return reply.substr(sep + 4) == expected_body;
-}
-
 void finish(Ctx c, const ClientParams& p) {
   p.report->finished = true;
   p.report->finished_at = c.m().sim().now();
@@ -104,12 +102,12 @@ sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
 
   auto r1 = co_await attempt_request(
       c, net, params, "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return http_ok(reply, expected_index); });
+      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, expected_index); });
   params.report->requests.push_back(std::move(r1));
 
   auto r2 = co_await attempt_request(
       c, net, params, "GET /cgi-bin/test.cgi?id=42 HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return http_ok(reply, expected_cgi); });
+      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, expected_cgi); });
   params.report->requests.push_back(std::move(r2));
 
   finish(c, params);

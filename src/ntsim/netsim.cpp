@@ -6,9 +6,41 @@
 
 namespace dts::nt::net {
 
+// ---------------------------------------------------------------- Stream
+
+void Stream::deliver(std::string&& payload) {
+  if (read_pos == buffer.size()) {
+    buffer = std::move(payload);
+    read_pos = 0;
+    return;
+  }
+  buffer.erase(0, read_pos);
+  read_pos = 0;
+  buffer += payload;
+}
+
+std::string Stream::consume(std::size_t n) {
+  if (read_pos == 0 && n >= buffer.size() - n) {
+    // The read takes at least half the buffer: move the buffer out and copy
+    // the (smaller) tail back. The returned string keeps the whole capacity,
+    // so a reader that appends the rest of the message does not reallocate.
+    std::string out = std::move(buffer);
+    buffer.assign(out, n);
+    out.resize(n);
+    return out;
+  }
+  std::string out = buffer.substr(read_pos, n);
+  read_pos += n;
+  if (read_pos == buffer.size()) {
+    buffer.clear();
+    read_pos = 0;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------- Socket
 
-void Socket::send(std::string_view data) {
+void Socket::send(std::string data) {
   if (closed_ || data.empty()) return;
   sim::Simulation& sim = net_->sim();
   const NetworkConfig& cfg = cfg_;  // the link this connection was made over
@@ -21,10 +53,9 @@ void Socket::send(std::string_view data) {
   tx_->earliest_delivery = deliver_at;
 
   std::shared_ptr<Stream> tx = tx_;
-  std::string payload{data};
-  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(payload)] {
+  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(data)]() mutable {
     if (tx->eof) return;  // connection already reset
-    tx->buffer += payload;
+    tx->deliver(std::move(payload));
     tx->wake_readers(sim);
   });
 }
@@ -34,12 +65,7 @@ sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
   sim::Simulation& sim = net_->sim();
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
-    if (!rx_->buffer.empty()) {
-      const std::size_t n = std::min(max, rx_->buffer.size());
-      std::string out = rx_->buffer.substr(0, n);
-      rx_->buffer.erase(0, n);
-      co_return out;
-    }
+    if (rx_->unread() > 0) co_return rx_->consume(std::min(max, rx_->unread()));
     if (rx_->eof) co_return std::string{};  // orderly EOF / reset
     if (timeout && sim.now() >= deadline) co_return std::nullopt;
 
@@ -57,13 +83,11 @@ sim::CoTask<std::optional<std::string>> Socket::recv_until(
   sim::Simulation& sim = net_->sim();
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
-    const auto pos = rx_->buffer.find(delim);
+    const auto pos = rx_->buffer.find(delim, rx_->read_pos);
     if (pos != std::string::npos) {
-      std::string out = rx_->buffer.substr(0, pos + delim.size());
-      rx_->buffer.erase(0, pos + delim.size());
-      co_return out;
+      co_return rx_->consume(pos + delim.size() - rx_->read_pos);
     }
-    if (rx_->buffer.size() > max) co_return std::nullopt;  // oversized
+    if (rx_->unread() > max) co_return std::nullopt;  // oversized
     if (rx_->eof) co_return std::nullopt;
     if (timeout && sim.now() >= deadline) co_return std::nullopt;
 
@@ -89,7 +113,11 @@ sim::CoTask<std::optional<std::string>> Socket::recv_exactly(
     }
     auto chunk = co_await recv(c, n - out.size(), remaining);
     if (!chunk || chunk->empty()) co_return std::nullopt;  // timeout or EOF
-    out += *chunk;
+    if (out.empty()) {
+      out = std::move(*chunk);
+    } else {
+      out += *chunk;
+    }
   }
   co_return out;
 }

@@ -35,12 +35,26 @@ struct NetworkConfig {
 class Network;
 class Listener;
 
-/// One direction of a connection.
+/// One direction of a connection. Reads consume from `read_pos` instead of
+/// erasing the front of `buffer`, so a partial read costs only the bytes it
+/// returns; the consumed prefix is dropped when the next delivery lands.
 struct Stream {
-  std::string buffer;  // delivered, unread bytes
-  bool eof = false;    // sender closed (or crashed)
+  std::string buffer;        // delivered bytes; [read_pos, size) are unread
+  std::size_t read_pos = 0;  // first unread byte of `buffer`
+  bool eof = false;          // sender closed (or crashed)
   std::vector<sim::WakePtr> read_waiters;
   sim::TimePoint earliest_delivery;  // FIFO ordering of in-flight sends
+
+  std::size_t unread() const { return buffer.size() - read_pos; }
+
+  /// Appends a delivered payload. Into an empty stream it is moved, not
+  /// copied; otherwise the consumed prefix is dropped before appending.
+  void deliver(std::string&& payload);
+
+  /// Removes and returns the first `n` unread bytes (n <= unread()). A read
+  /// from the front of at least half the buffer moves the buffer out and
+  /// copies only the remainder back.
+  std::string consume(std::size_t n);
 
   void wake_readers(sim::Simulation& sim) {
     auto pending = std::move(read_waiters);
@@ -64,7 +78,9 @@ class Socket {
 
   /// Queues data for delivery to the peer after latency + size/bandwidth.
   /// Never blocks (unbounded send buffer). Data sent after close is dropped.
-  void send(std::string_view data);
+  /// Takes ownership of the payload: pass an rvalue and the bytes travel to
+  /// the peer's receive buffer without being copied.
+  void send(std::string data);
 
   /// Receives up to `max` bytes. Blocks until data, EOF or timeout. Returns
   /// nullopt on timeout; empty string on EOF.
@@ -83,7 +99,7 @@ class Socket {
                                                        std::optional<sim::Duration> timeout = {});
 
   /// True once the peer has closed and all delivered data was consumed.
-  bool at_eof() const { return rx_->buffer.empty() && rx_->eof; }
+  bool at_eof() const { return rx_->unread() == 0 && rx_->eof; }
   bool closed() const { return closed_; }
 
   void close();

@@ -21,17 +21,19 @@ FleetEventLog::FleetEventLog(std::size_t capacity)
 void FleetEventLog::record(FleetEventKind kind, int worker_id,
                            std::uint64_t lease_id, std::string detail) {
   FleetEvent e;
-  e.wall = std::chrono::system_clock::now();
-  e.mono_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - epoch_)
-          .count());
   e.kind = kind;
   e.worker_id = worker_id;
   e.lease_id = lease_id;
   e.detail = std::move(detail);
 
+  // Timestamps are taken under the lock that assigns `seq`, so racing
+  // writers can never record a later seq with an earlier time.
   std::lock_guard<std::mutex> lock(mu_);
+  e.wall = std::chrono::system_clock::now();
+  e.mono_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - epoch_)
+          .count());
   e.seq = next_seq_++;
   if (entries_.size() == capacity_) {
     entries_.pop_front();

@@ -94,6 +94,26 @@ void compute_attribution(const std::vector<TraceSpan>& spans,
   }
 }
 
+/// Stable counting pass by trace: spans arrive in id order, so grouping them
+/// by trace while keeping arrival order yields (trace, id) order with one
+/// move per span. Traces are the load generator's dense request sequence,
+/// so the bucket array is about as long as the request count.
+std::vector<TraceSpan> group_by_trace(std::vector<TraceSpan> spans) {
+  if (spans.empty()) return spans;
+  const auto [lo, hi] = std::minmax_element(
+      spans.begin(), spans.end(),
+      [](const TraceSpan& a, const TraceSpan& b) { return a.trace < b.trace; });
+  const int base = lo->trace;
+  std::vector<std::size_t> start(static_cast<std::size_t>(hi->trace - base) + 2, 0);
+  for (const TraceSpan& s : spans) ++start[static_cast<std::size_t>(s.trace - base) + 1];
+  for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+  std::vector<TraceSpan> out(spans.size());
+  for (TraceSpan& s : spans) {
+    out[start[static_cast<std::size_t>(s.trace - base)]++] = std::move(s);
+  }
+  return out;
+}
+
 }  // namespace
 
 bool rtrace_mode_from_string(const std::string& s, RtraceMode* out) {
@@ -159,15 +179,11 @@ int TraceLog::begin_span(int trace, int parent, std::string name,
 }
 
 void TraceLog::end_span(int id, std::int64_t end_us, std::string outcome) {
-  if (!enabled_ || id == 0) return;
-  // Newest-first: the span being closed is almost always near the tail.
-  for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-    if (it->id == id) {
-      it->end_us = end_us;
-      it->outcome = std::move(outcome);
-      return;
-    }
-  }
+  // Ids are dense from 1 in begin order, so span `id` sits at index id - 1.
+  if (!enabled_ || id <= 0 || static_cast<std::size_t>(id) > spans_.size()) return;
+  TraceSpan& s = spans_[static_cast<std::size_t>(id) - 1];
+  s.end_us = end_us;
+  s.outcome = std::move(outcome);
 }
 
 std::vector<TraceSpan> TraceLog::take_spans() {
@@ -196,10 +212,7 @@ std::uint64_t trace_path_digest(const std::vector<TraceSpan>& spans) {
 }
 
 RunTrace finalize_trace(std::vector<TraceSpan> spans, const FinalizeParams& p) {
-  std::sort(spans.begin(), spans.end(),
-            [](const TraceSpan& a, const TraceSpan& b) {
-              return a.trace != b.trace ? a.trace < b.trace : a.id < b.id;
-            });
+  spans = group_by_trace(std::move(spans));
   // A span still open when the run cap hit keeps its "unfinished" outcome;
   // clamp its end so durations never go negative.
   for (TraceSpan& s : spans) {

@@ -159,7 +159,8 @@ struct FinalizeParams {
 
 /// Closes unfinished spans, stamps the injection onto the innermost
 /// containing span of the faulted machine, computes attribution and the
-/// propagation-path digest.
+/// propagation-path digest. `spans` must be in id order, as TraceLog
+/// records them; the result is in (trace, id) order.
 RunTrace finalize_trace(std::vector<TraceSpan> spans, const FinalizeParams& p);
 
 }  // namespace dts::obs::rtrace

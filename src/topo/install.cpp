@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "apps/http.h"
+
 namespace dts::topo {
 
 namespace {
@@ -26,13 +28,9 @@ std::int64_t now_us(Ctx c) {
   return (c.m().sim().now() - sim::TimePoint{}).count_micros();
 }
 
-bool http_ok(const std::string& reply, const std::string& expected_body) {
-  if (reply.rfind("HTTP/1.0 200", 0) != 0) return false;
-  const auto sep = reply.find("\r\n\r\n");
-  if (sep == std::string::npos) return false;
-  return reply.substr(sep + 4) == expected_body;
-}
-
+/// Daemon parameters. Each daemon builds its params once and shares them,
+/// immutable, with every per-connection thread: `expected` holds the whole
+/// served page, so copying it per connection would dominate the relay.
 struct RelayParams {
   std::string self;            // this instance's machine name
   std::string tier;            // owning tier's name (span label)
@@ -79,7 +77,11 @@ sim::CoTask<std::optional<std::string>> exchange(Ctx c, nt::net::Network* net,
     auto chunk = co_await sock->recv(c, 65536, remaining);
     if (!chunk) co_return std::nullopt;  // timeout
     if (chunk->empty()) break;           // EOF: reply complete
-    reply += *chunk;
+    if (reply.empty()) {
+      reply = std::move(*chunk);
+    } else {
+      reply += *chunk;
+    }
   }
   if (reply.empty()) co_return std::nullopt;  // reset before any data
   co_return reply;
@@ -89,8 +91,9 @@ sim::CoTask<std::optional<std::string>> exchange(Ctx c, nt::net::Network* net,
 /// the downstream chain; "OK" only when both succeed. With tracing on, the
 /// connection, the local check and the downstream forward each become a span,
 /// and the forwarded line carries the forward span as the new parent.
-sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
+sim::Task relay_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayParams> params,
                      std::shared_ptr<nt::net::Socket> sock) {
+  const RelayParams& p = *params;
   auto line = co_await sock->recv_until(c, "\n", 4096, p.hop_timeout);
   if (!line) co_return;
   const std::string id = request_id(*line);
@@ -107,7 +110,7 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
                                   : 0;
   auto reply = co_await exchange(c, net, p.self, p.app_port, p.check_request, p.hop_timeout,
                                  /*until_eof=*/true);
-  if (reply) ok = p.http ? http_ok(*reply, p.expected) : *reply == p.expected;
+  if (reply) ok = p.http ? apps::http::is_ok_reply(*reply, p.expected) : *reply == p.expected;
   if (tl != nullptr) {
     tl->end_span(check, now_us(c), ok ? "ok" : (reply ? "err" : "timeout"));
   }
@@ -129,7 +132,9 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, RelayParams p,
   sock->send((ok ? "OK " : "ERR ") + id + "\n");
 }
 
-sim::Task relay_program(Ctx c, nt::net::Network* net, RelayParams p) {
+sim::Task relay_program(Ctx c, nt::net::Network* net,
+                        std::shared_ptr<const RelayParams> params) {
+  const RelayParams& p = *params;
   // Wait (bounded) for the local application and the downstream balancer;
   // listen regardless once the deadline passes so a dead dependency shows up
   // as error replies, not refused connections the balancer cannot tell apart
@@ -146,15 +151,17 @@ sim::Task relay_program(Ctx c, nt::net::Network* net, RelayParams p) {
   for (;;) {
     auto sock = co_await listener->accept(c);
     if (sock == nullptr) continue;
-    c.proc().spawn_thread([net, p, sock](Ctx tc) { return relay_conn(tc, net, p, sock); });
+    c.proc().spawn_thread(
+        [net, params, sock](Ctx tc) { return relay_conn(tc, net, params, sock); });
   }
 }
 
 /// Serves one accepted balancer connection: round-robin over the backends,
 /// failing over on refusal, timeout or an error reply. Redundancy masking
 /// happens exactly here.
-sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std::size_t> rr,
-                  std::shared_ptr<nt::net::Socket> sock) {
+sim::Task lb_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const LbParams> params,
+                  std::shared_ptr<std::size_t> rr, std::shared_ptr<nt::net::Socket> sock) {
+  const LbParams& p = *params;
   auto line = co_await sock->recv_until(c, "\n", 4096, p.hop_timeout);
   if (!line) co_return;
   const std::string id = request_id(*line);
@@ -182,7 +189,7 @@ sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std:
     }
     if (ok) {
       if (tl != nullptr) tl->end_span(span, now_us(c), "ok");
-      sock->send(*reply);
+      sock->send(std::move(*reply));
       co_return;
     }
   }
@@ -190,7 +197,8 @@ sim::Task lb_conn(Ctx c, nt::net::Network* net, LbParams p, std::shared_ptr<std:
   sock->send("ERR " + id + "\n");
 }
 
-sim::Task lb_program(Ctx c, nt::net::Network* net, LbParams p) {
+sim::Task lb_program(Ctx c, nt::net::Network* net, std::shared_ptr<const LbParams> params) {
+  const LbParams& p = *params;
   const sim::TimePoint deadline = c.m().sim().now() + p.ready_timeout;
   for (;;) {
     bool all_up = true;
@@ -207,7 +215,7 @@ sim::Task lb_program(Ctx c, nt::net::Network* net, LbParams p) {
     auto sock = co_await listener->accept(c);
     if (sock == nullptr) continue;
     c.proc().spawn_thread(
-        [net, p, rr, sock](Ctx tc) { return lb_conn(tc, net, p, rr, sock); });
+        [net, params, rr, sock](Ctx tc) { return lb_conn(tc, net, params, rr, sock); });
   }
 }
 
@@ -269,8 +277,9 @@ TopologyRuntime install_topology(sim::Simulation& sim, nt::net::Network& net,
         rp.http = false;
         rp.check_request = apps::sql_client_query() + "\n";
       }
+      auto shared = std::make_shared<const RelayParams>(std::move(rp));
       m.register_program("relayd.exe",
-                         [np, rp](Ctx c) { return relay_program(c, np, rp); });
+                         [np, shared](Ctx c) { return relay_program(c, np, shared); });
       m.start_process("relayd.exe", "relayd.exe");
 
       tr.instances.push_back(name);
@@ -290,7 +299,8 @@ TopologyRuntime install_topology(sim::Simulation& sim, nt::net::Network& net,
     lp.ready_poll = params.ready_poll;
     lp.hop_timeout = params.hop_timeout;
     lp.trace = params.trace;
-    lb.register_program("lbd.exe", [np, lp](Ctx c) { return lb_program(c, np, lp); });
+    auto shared = std::make_shared<const LbParams>(std::move(lp));
+    lb.register_program("lbd.exe", [np, shared](Ctx c) { return lb_program(c, np, shared); });
     lb.start_process("lbd.exe", "lbd.exe");
 
     rt.tiers.push_back(std::move(tr));

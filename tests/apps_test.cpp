@@ -250,5 +250,56 @@ TEST(Http, FormatResponse) {
   EXPECT_EQ(r.substr(r.size() - 3), "<x>");
 }
 
+// Byte-exact pins: responses are part of every run's simulated traffic, so
+// any formatting drift would change transfer times and campaign output.
+TEST(Http, FormatResponseIsByteExact) {
+  std::string page;
+  page.reserve(115'000);
+  for (int i = 0; page.size() < 115'000; ++i) page += static_cast<char>('a' + i % 26);
+  page.resize(115'000);
+  EXPECT_EQ(http::format_response(200, "text/html", page, "Apache/1.3.3 (WinNT)"),
+            "HTTP/1.0 200 OK\r\n"
+            "Server: Apache/1.3.3 (WinNT)\r\n"
+            "Content-Type: text/html\r\n"
+            "Content-Length: 115000\r\n"
+            "Connection: close\r\n\r\n" +
+                page);
+
+  EXPECT_EQ(http::format_response(404, "text/html",
+                                  "<html><body><h1>404 Not Found</h1></body></html>",
+                                  "Microsoft-IIS/3.0"),
+            "HTTP/1.0 404 Not Found\r\n"
+            "Server: Microsoft-IIS/3.0\r\n"
+            "Content-Type: text/html\r\n"
+            "Content-Length: 48\r\n"
+            "Connection: close\r\n\r\n"
+            "<html><body><h1>404 Not Found</h1></body></html>");
+
+  EXPECT_EQ(http::format_response(418, "text/plain", "teapot", "S"),
+            "HTTP/1.0 418 Unknown\r\n"
+            "Server: S\r\n"
+            "Content-Type: text/plain\r\n"
+            "Content-Length: 6\r\n"
+            "Connection: close\r\n\r\n"
+            "teapot");
+
+  EXPECT_EQ(http::format_response(500, "text/html", "", "S"),
+            "HTTP/1.0 500 Internal Server Error\r\n"
+            "Server: S\r\n"
+            "Content-Type: text/html\r\n"
+            "Content-Length: 0\r\n"
+            "Connection: close\r\n\r\n");
+}
+
+TEST(Http, IsOkReplyComparesTheWholeBody) {
+  const std::string ok = http::format_response(200, "text/html", "<p>hi</p>", "S");
+  EXPECT_TRUE(http::is_ok_reply(ok, "<p>hi</p>"));
+  EXPECT_FALSE(http::is_ok_reply(ok, "<p>hi</p>!"));  // truncated reply
+  EXPECT_FALSE(http::is_ok_reply(ok, "<p>hi"));       // extra bytes
+  EXPECT_FALSE(http::is_ok_reply(http::format_response(404, "text/html", "<p>hi</p>", "S"),
+                                 "<p>hi</p>"));
+  EXPECT_FALSE(http::is_ok_reply("HTTP/1.0 200 OK\r\nno blank line", ""));
+}
+
 }  // namespace
 }  // namespace dts::apps

@@ -313,5 +313,129 @@ TEST(Net, PerLinkLatencyGovernsConnectAndTransfer) {
   EXPECT_GE(transfer, Duration::millis(100));
 }
 
+// --- receive-buffer ownership ----------------------------------------------
+// Reads consume from a read offset and whole-buffer reads move the bytes
+// out; these pin that partial reads, delimiter searches and EOF still see
+// exactly the unread bytes, in order.
+
+// The server sleeps before reading so everything the client sent is already
+// buffered; `reads` then runs against that buffer.
+template <typename Reads, typename Sends>
+void run_buffered(NetWorld& w, Sends sends, Reads reads) {
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    co_await sleep_in_sim(c, Duration::millis(500));
+    co_await reads(c, *sock);
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    EXPECT_NE(sock, nullptr);
+    if (sock == nullptr) co_return;
+    co_await sends(c, *sock);
+    co_await sleep_in_sim(c, Duration::seconds(5));
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+}
+
+TEST(NetBuffer, PartialRecvReturnsBytesInOrderThenRemainder) {
+  NetWorld w;
+  std::vector<std::optional<std::string>> got;
+  run_buffered(
+      w,
+      [](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send("abcdefghij");
+        // Arrives after the first partial read: appended behind the
+        // still-unread bytes.
+        co_await sleep_in_sim(c, Duration::millis(700));
+        sock.send("KLM");
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        // Small reads from the front and from the middle of the buffer.
+        got.push_back(co_await sock.recv(c, 3, Duration::seconds(1)));
+        got.push_back(co_await sock.recv(c, 2, Duration::seconds(1)));
+        co_await sleep_in_sim(c, Duration::millis(500));
+        // A read of most of the buffer, then of exactly what is left.
+        got.push_back(co_await sock.recv(c, 6, Duration::seconds(1)));
+        got.push_back(co_await sock.recv(c, 100, Duration::seconds(1)));
+      });
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0], "abc");
+  EXPECT_EQ(got[1], "de");
+  EXPECT_EQ(got[2], "fghijK");
+  EXPECT_EQ(got[3], "LM");
+}
+
+TEST(NetBuffer, RecvUntilWithDelimiterAtEndAndWithBytesFollowing) {
+  NetWorld w;
+  std::optional<std::string> first, second, rest, last;
+  run_buffered(
+      w,
+      [](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send("one\ntwo\ntail");
+        co_await sleep_in_sim(c, Duration::millis(700));
+        sock.send("ends\n");
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        // Bytes follow the delimiter.
+        first = co_await sock.recv_until(c, "\n", 64, Duration::seconds(1));
+        second = co_await sock.recv_until(c, "\n", 64, Duration::seconds(1));
+        // "tail" has no delimiter yet: waits for the next delivery, then
+        // the delimiter ends exactly at the end of the buffer.
+        rest = co_await sock.recv_until(c, "\n", 64, Duration::seconds(2));
+        last = co_await sock.recv(c, 64, Duration::millis(100));
+      });
+  EXPECT_EQ(first, "one\n");
+  EXPECT_EQ(second, "two\n");
+  EXPECT_EQ(rest, "tailends\n");
+  EXPECT_EQ(last, std::nullopt);  // nothing left: the read times out
+}
+
+TEST(NetBuffer, SendsDeliveredBeforeAnyReadArriveConcatenated) {
+  NetWorld w;
+  std::optional<std::string> got;
+  run_buffered(
+      w,
+      [](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send("first|");
+        sock.send(std::string(1000, 'x'));
+        sock.send("|last");
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        got = co_await sock.recv(c, 4096, Duration::seconds(1));
+      });
+  EXPECT_EQ(got, "first|" + std::string(1000, 'x') + "|last");
+}
+
+TEST(NetBuffer, AtEofStaysFalseWhileUnreadBytesRemain) {
+  NetWorld w;
+  std::vector<bool> eof_seen;
+  std::vector<std::optional<std::string>> got;
+  run_buffered(
+      w,
+      [](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send("12345");
+        sock.close();
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        eof_seen.push_back(sock.at_eof());  // peer closed, 5 bytes unread
+        got.push_back(co_await sock.recv(c, 2, Duration::seconds(1)));
+        eof_seen.push_back(sock.at_eof());  // 3 bytes unread
+        got.push_back(co_await sock.recv(c, 3, Duration::seconds(1)));
+        eof_seen.push_back(sock.at_eof());  // all consumed
+        got.push_back(co_await sock.recv(c, 3, Duration::seconds(1)));
+      });
+  EXPECT_EQ(eof_seen, (std::vector<bool>{false, false, true}));
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], "12");
+  EXPECT_EQ(got[1], "345");
+  EXPECT_EQ(got[2], "");  // orderly EOF
+}
+
 }  // namespace
 }  // namespace dts::nt

@@ -3,6 +3,7 @@
 // jobs/snapshots/distributed execution, journal v6, replay, and report
 // reconciliation. Labelled `topo` in CTest (part of both sanitizer presets).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -367,7 +368,10 @@ class TopoJournalTest : public ::testing::Test {
   // One journaled three-tier campaign shared by the journal/replay/report
   // tests (runs once; each test reloads the file).
   static void SetUpTestSuite() {
-    journal_path_ = new std::string(temp_path("topo_journal.jsonl"));
+    // Per-process journal: ctest runs every case in its own process, each
+    // re-running this fixture — a shared path would race under `ctest -j`.
+    journal_path_ = new std::string(temp_path(
+        "topo_journal." + std::to_string(::getpid()) + ".jsonl"));
     std::filesystem::remove(*journal_path_);
     const core::DtsConfig cfg = parse_or_die(kThreeTierConfig);
     core::CampaignOptions opt = cfg.campaign;
@@ -375,6 +379,7 @@ class TopoJournalTest : public ::testing::Test {
     (void)core::run_workload_set(cfg.run, opt);
   }
   static void TearDownTestSuite() {
+    std::filesystem::remove(*journal_path_);
     delete journal_path_;
     journal_path_ = nullptr;
   }
