@@ -45,7 +45,7 @@ class Api {
 
   /// Burns simulated CPU time (scaled by the machine's speed). Models the
   /// application's own computation between syscalls.
-  sim::CoTask<void> cpu(sim::Duration d) const {
+  nt::SleepInSim cpu(sim::Duration d) const {
     return nt::sleep_in_sim(c_, c_.m().cost(d));
   }
 

@@ -113,7 +113,8 @@ void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
   const std::string& image = proc.image();
 
   const int count = ++counts_[{image, rec.fn}];
-  if (rec.argc > 0) called_[image].insert(rec.fn);
+  // Arity is fixed per function, so the first call decides membership.
+  if (count == 1 && rec.argc > 0) called_[image].insert(rec.fn);
 
   // Golden-run capture (pre-corruption by construction: capture runs arm no
   // fault): the planner's record of what each injectable invocation received.

@@ -1,5 +1,6 @@
 #include "ntsim/kernel32.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ntsim/filesystem.h"
@@ -69,16 +70,26 @@ void Kernel32::publish_named(const std::string& name, const std::shared_ptr<Kern
   named_[name] = obj;
 }
 
-sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
+sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, const std::vector<Word>& args) {
+  if (args.size() > static_cast<std::size_t>(kMaxSyscallArgs)) {
+    throw std::logic_error("Kernel32::call: more than kMaxSyscallArgs arguments");
+  }
+  Args a;
+  std::copy(args.begin(), args.end(), a.w.begin());
+  a.n = static_cast<int>(args.size());
+  return call(c, fn, a);
+}
+
+sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, Args args) {
   const FunctionInfo& info = Kernel32Registry::instance().info(fn);
-  if (static_cast<int>(args.size()) != info.param_count()) {
+  if (args.n != info.param_count()) {
     throw std::logic_error(std::string("Kernel32::call: wrong arity for ") +
                            std::string(info.name));
   }
   CallRecord r;
   r.fn = fn;
-  r.argc = static_cast<int>(args.size());
-  for (int i = 0; i < r.argc; ++i) r.args[static_cast<std::size_t>(i)] = args[i];
+  r.argc = args.n;
+  r.args = args.w;
 
   r.seq = ++machine_->syscalls_made;
   if (hook_ != nullptr) hook_->on_call(*c.process, r);
@@ -105,7 +116,12 @@ sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
     c.thread().last_error = r.forced_error;
     result = r.forced_result;
   } else {
-    result = co_await dispatch(c, r);
+    // Only the blocking functions need a coroutine frame of their own.
+    if (k32::area_of(r.fn) == k32::Area::kBlocking) {
+      result = co_await dispatch(c, r);
+    } else {
+      result = dispatch_sync(c, r);
+    }
     if (r.action == CallRecord::Action::kZeroResult) result = 0;
     if (r.action == CallRecord::Action::kFlipResult) result = result != 0 ? 0 : 1;
   }
@@ -113,72 +129,71 @@ sim::CoTask<Word> Kernel32::call(Ctx c, Fn fn, std::vector<Word> args) {
   co_return result;
 }
 
-sim::CoTask<Word> Kernel32::dispatch(Ctx c, const CallRecord& r) {
+Word Kernel32::dispatch_sync(Ctx c, const CallRecord& r) {
   using k32::Area;
-  const Area area = k32::area_of(r.fn);
-  if (area == Area::kBlocking) {
-    switch (r.fn) {
-      case Fn::WaitForSingleObject:
-      case Fn::WaitForSingleObjectEx:
-        co_return co_await do_wait_single(c, r.args[0], r.args[1]);
-      case Fn::WaitForMultipleObjects:
-        co_return co_await do_wait_multiple(c, r.args[0], r.args[1], r.args[2], r.args[3]);
-      case Fn::Sleep:
-      case Fn::SleepEx:
-        co_return co_await do_sleep(c, r.args[0]);
-      case Fn::ReadFile:
-        co_return co_await do_read_file(c, r, /*ex=*/false);
-      case Fn::ReadFileEx:
-        co_return co_await do_read_file(c, r, /*ex=*/true);
-      case Fn::WriteFile:
-        co_return co_await do_write_file(c, r, /*ex=*/false);
-      case Fn::WriteFileEx:
-        co_return co_await do_write_file(c, r, /*ex=*/true);
-      case Fn::EnterCriticalSection:
-        co_return co_await do_enter_critical_section(c, r.args[0]);
-      case Fn::ConnectNamedPipe:
-        co_return co_await do_connect_named_pipe(c, r.args[0]);
-      case Fn::WaitNamedPipeA:
-        co_return co_await do_wait_named_pipe(c, r.args[0], r.args[1]);
-      case Fn::CallNamedPipeA:
-        co_return co_await do_call_named_pipe(c, r);
-      case Fn::ExitProcess: {
-        machine_->request_process_exit(c.process->pid(), r.args[0], "ExitProcess");
-        // ExitProcess never returns: block until teardown destroys us.
-        auto tok = make_wait(c);
-        co_await await_token(c, tok, std::nullopt);
-        co_return 0;
-      }
-      case Fn::ExitThread: {
-        const Pid pid = c.process->pid();
-        const Tid tid = c.tid;
-        Machine* m = machine_;
-        const Word code = r.args[0];
-        machine_->sim().schedule(sim::Duration{}, [m, pid, tid, code] {
-          Process* p = m->find_process(pid);
-          if (p == nullptr || p->state() != Process::State::kRunning) return;
-          p->reap_thread(tid, code);
-          if (p->live_threads() == 0) m->request_process_exit(pid, code, "last thread exited");
-        });
-        auto tok = make_wait(c);
-        co_await await_token(c, tok, std::nullopt);
-        co_return 0;
-      }
-      default:
-        throw std::logic_error("unrouted blocking syscall");
-    }
-  }
-
   k32::Sys s{c, *machine_, *c.process, *this};
-  switch (area) {
-    case Area::kProc: co_return k32::sync_proc(s, r);
-    case Area::kSync: co_return k32::sync_sync(s, r);
-    case Area::kFile: co_return k32::sync_file(s, r);
-    case Area::kMem: co_return k32::sync_mem(s, r);
-    case Area::kMisc: co_return k32::sync_misc(s, r);
-    case Area::kBlocking: break;  // unreachable
+  switch (k32::area_of(r.fn)) {
+    case Area::kProc: return k32::sync_proc(s, r);
+    case Area::kSync: return k32::sync_sync(s, r);
+    case Area::kFile: return k32::sync_file(s, r);
+    case Area::kMem: return k32::sync_mem(s, r);
+    case Area::kMisc: return k32::sync_misc(s, r);
+    case Area::kBlocking: break;
   }
   throw std::logic_error("unrouted syscall");
+}
+
+sim::CoTask<Word> Kernel32::dispatch(Ctx c, const CallRecord& r) {
+  switch (r.fn) {
+    case Fn::WaitForSingleObject:
+    case Fn::WaitForSingleObjectEx:
+      co_return co_await do_wait_single(c, r.args[0], r.args[1]);
+    case Fn::WaitForMultipleObjects:
+      co_return co_await do_wait_multiple(c, r.args[0], r.args[1], r.args[2], r.args[3]);
+    case Fn::Sleep:
+    case Fn::SleepEx:
+      co_return co_await do_sleep(c, r.args[0]);
+    case Fn::ReadFile:
+      co_return co_await do_read_file(c, r, /*ex=*/false);
+    case Fn::ReadFileEx:
+      co_return co_await do_read_file(c, r, /*ex=*/true);
+    case Fn::WriteFile:
+      co_return co_await do_write_file(c, r, /*ex=*/false);
+    case Fn::WriteFileEx:
+      co_return co_await do_write_file(c, r, /*ex=*/true);
+    case Fn::EnterCriticalSection:
+      co_return co_await do_enter_critical_section(c, r.args[0]);
+    case Fn::ConnectNamedPipe:
+      co_return co_await do_connect_named_pipe(c, r.args[0]);
+    case Fn::WaitNamedPipeA:
+      co_return co_await do_wait_named_pipe(c, r.args[0], r.args[1]);
+    case Fn::CallNamedPipeA:
+      co_return co_await do_call_named_pipe(c, r);
+    case Fn::ExitProcess: {
+      machine_->request_process_exit(c.process->pid(), r.args[0], "ExitProcess");
+      // ExitProcess never returns: block until teardown destroys us.
+      auto tok = make_wait(c);
+      co_await await_token(c, tok, std::nullopt);
+      co_return 0;
+    }
+    case Fn::ExitThread: {
+      const Pid pid = c.process->pid();
+      const Tid tid = c.tid;
+      Machine* m = machine_;
+      const Word code = r.args[0];
+      machine_->sim().schedule(sim::Duration{}, [m, pid, tid, code] {
+        Process* p = m->find_process(pid);
+        if (p == nullptr || p->state() != Process::State::kRunning) return;
+        p->reap_thread(tid, code);
+        if (p->live_threads() == 0) m->request_process_exit(pid, code, "last thread exited");
+      });
+      auto tok = make_wait(c);
+      co_await await_token(c, tok, std::nullopt);
+      co_return 0;
+    }
+    default:
+      throw std::logic_error("unrouted blocking syscall");
+  }
 }
 
 sim::CoTask<Word> Kernel32::do_wait_single(Ctx c, Word handle, Word ms) {

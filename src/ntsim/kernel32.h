@@ -8,6 +8,7 @@
 // corrupted waits, and silent data corruption for corrupted sizes.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -65,6 +66,12 @@ class Kernel32 {
   void set_hook(SyscallHook* hook) { hook_ = hook; }
   SyscallHook* hook() const { return hook_; }
 
+  /// Inline argument words of one call: no allocation per syscall.
+  struct Args {
+    std::array<Word, kMaxSyscallArgs> w{};
+    int n = 0;
+  };
+
   /// Invokes a KERNEL32 function on behalf of the calling thread. The
   /// argument count must match the registry's parameter count for `fn`.
   /// Returns the raw 32-bit result (BOOL, DWORD or handle value).
@@ -72,15 +79,18 @@ class Kernel32 {
   /// May throw AccessViolation (simulated crash — escapes to the thread body
   /// and terminates the process) for functions whose NT implementation
   /// touches user memory without probing.
-  sim::CoTask<Word> call(Ctx c, Fn fn, std::vector<Word> args);
+  sim::CoTask<Word> call(Ctx c, Fn fn, Args args);
 
-  /// Convenience overload: plain argument words. (Do not pass braced
-  /// initializer lists through co_await — their backing arrays cannot live
-  /// in coroutine frames on GCC.)
+  /// Convenience overload: plain argument words.
   template <typename... A>
   sim::CoTask<Word> call(Ctx c, Fn fn, A... args) {
-    return call(c, fn, std::vector<Word>{static_cast<Word>(args)...});
+    static_assert(sizeof...(A) <= kMaxSyscallArgs, "too many KERNEL32 arguments");
+    return call(c, fn, Args{{static_cast<Word>(args)...}, static_cast<int>(sizeof...(A))});
   }
+
+  /// Run-time argument list (syscall fuzzing). Throws std::logic_error for
+  /// more than kMaxSyscallArgs words.
+  sim::CoTask<Word> call(Ctx c, Fn fn, const std::vector<Word>& args);
 
   /// Machine-wide named-object namespace (events, mutexes, semaphores and
   /// file mappings share it, as on NT).
@@ -101,6 +111,9 @@ class Kernel32 {
   static constexpr sim::Duration kBaseCost = sim::Duration::micros(40);
 
  private:
+  /// Runs a synchronous (non-kBlocking) function.
+  Word dispatch_sync(Ctx c, const CallRecord& r);
+  /// Runs a kBlocking function.
   sim::CoTask<Word> dispatch(Ctx c, const CallRecord& r);
 
   // Blocking implementations (everything else is synchronous and lives in

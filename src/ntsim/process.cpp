@@ -111,27 +111,21 @@ void Process::reap_thread(Tid tid, Dword code) {
 // ---------------------------------------------------------------------------
 
 sim::WakePtr make_wait(const Ctx& c) {
-  auto tok = std::make_shared<sim::WakeToken>();
+  auto tok = sim::make_wake();
   c.thread().current_wait = tok;
   return tok;
 }
 
-sim::CoTask<sim::WakeReason> await_token(Ctx c, sim::WakePtr tok,
-                                         std::optional<sim::Duration> timeout) {
-  sim::Simulation& s = c.m().sim();
-  if (timeout) {
-    sim::wake_later(s, tok, *timeout, sim::WakeReason::kTimeout);
-  }
-  const sim::WakeReason reason = co_await sim::WaitOn{tok};
-  // The thread may already be mid-teardown; clear only if still registered.
-  Thread* t = c.process->find_thread(c.tid);
-  if (t != nullptr && t->current_wait == tok) t->current_wait.reset();
-  co_return reason;
+bool AwaitToken::await_ready() {
+  if (timeout_) sim::wake_later(c_.m().sim(), tok_, *timeout_, sim::WakeReason::kTimeout);
+  return tok_->fired;
 }
 
-sim::CoTask<void> sleep_in_sim(Ctx c, sim::Duration d) {
-  auto tok = make_wait(c);
-  co_await await_token(c, tok, d.is_negative() ? sim::Duration{} : d);
+sim::WakeReason AwaitToken::await_resume() {
+  // The thread may already be mid-teardown; clear only if still registered.
+  Thread* t = c_.process->find_thread(c_.tid);
+  if (t != nullptr && t->current_wait == tok_) t->current_wait.reset();
+  return tok_->reason;
 }
 
 sim::CoTask<Dword> wait_on_object(Ctx c, std::shared_ptr<KernelObject> obj,

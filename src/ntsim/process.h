@@ -180,12 +180,49 @@ class Process {
 /// Creates a wake token registered as the current wait of `c`'s thread.
 sim::WakePtr make_wait(const Ctx& c);
 
-/// Suspends until the token fires or `timeout` elapses (if given).
-sim::CoTask<sim::WakeReason> await_token(Ctx c, sim::WakePtr tok,
-                                         std::optional<sim::Duration> timeout);
+/// Awaiter that suspends until `tok` fires or `timeout` elapses (if given),
+/// and yields the wake reason. A plain awaiter rather than a coroutine, so a
+/// wait costs no frame allocation. The timeout timer is armed in
+/// await_ready — at the co_await, even if the token has already fired — so
+/// the event sequence is that of a lazily started coroutine: a timer event,
+/// then the zero-delay resume event that sim::wake queues.
+class AwaitToken {
+ public:
+  AwaitToken(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout)
+      : c_(c), tok_(std::move(tok)), timeout_(timeout) {}
 
-/// Suspends the calling thread for `d` of simulated time.
-sim::CoTask<void> sleep_in_sim(Ctx c, sim::Duration d);
+  bool await_ready();
+  void await_suspend(std::coroutine_handle<> h) noexcept { tok_->handle = h; }
+  /// Clears the thread's current wait if it is still this token.
+  sim::WakeReason await_resume();
+
+ private:
+  Ctx c_;
+  sim::WakePtr tok_;
+  std::optional<sim::Duration> timeout_;
+};
+
+inline AwaitToken await_token(Ctx c, sim::WakePtr tok, std::optional<sim::Duration> timeout) {
+  return AwaitToken{c, std::move(tok), timeout};
+}
+
+/// Awaiter that suspends the calling thread for `d` of simulated time
+/// (negative durations count as zero): a wait on a fresh token whose only
+/// wake is the timer.
+class SleepInSim {
+ public:
+  SleepInSim(Ctx c, sim::Duration d)
+      : wait_(c, make_wait(c), d.is_negative() ? sim::Duration{} : d) {}
+
+  bool await_ready() { return wait_.await_ready(); }
+  void await_suspend(std::coroutine_handle<> h) noexcept { wait_.await_suspend(h); }
+  void await_resume() { (void)wait_.await_resume(); }
+
+ private:
+  AwaitToken wait_;
+};
+
+inline SleepInSim sleep_in_sim(Ctx c, sim::Duration d) { return SleepInSim{c, d}; }
 
 /// Waits on a kernel waitable object with NT semantics (acquisition side
 /// effects, kWaitTimeout, kWaitAbandoned for abandoned mutexes).

@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/time.h"
 
 namespace dts::sim {
@@ -12,25 +12,30 @@ namespace dts::sim {
 /// Timed callback queue. Ties are broken by insertion order so that
 /// same-instant events run FIFO — required for deterministic replay.
 ///
-/// The heap is an explicit vector (std::push_heap/pop_heap — the exact
-/// algorithm std::priority_queue wraps, so pop order is unchanged) rather
-/// than std::priority_queue, whose container is inaccessible: snapshots
-/// (src/snap/) must capture and restore the pending-event set. A Snapshot
-/// copies the std::function callbacks, which is a shallow copy of their
-/// closures — restoring one is only meaningful within the world the capture
-/// came from (cross-world resume uses process-level fork instead).
+/// The heap is an explicit vector of trivially copyable `{at, seq, slot}`
+/// keys (std::push_heap/pop_heap — the algorithm std::priority_queue wraps,
+/// so pop order and the raw heap array that snapshot digests fold are those
+/// of a queue of whole events). Callbacks live in a slab indexed by `slot`;
+/// a popped slot goes on a free list and the next push reuses it, so sifting
+/// moves 24-byte keys and a steady-state push/pop allocates nothing.
+///
+/// A Snapshot copies the keys, the slab and the free list. Copying a
+/// Callback copies its closure, which is a shallow copy of whatever the
+/// closure points at — restoring one is only meaningful within the world
+/// the capture came from (cross-world resume uses process-level fork).
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
+  /// Heap key of one pending event.
   struct Event {
     TimePoint at;
     std::uint64_t seq = 0;
-    Callback fn;
+    std::uint32_t slot = 0;  // index into the callback slab
   };
 
   struct Snapshot {
     std::vector<Event> heap;  // raw heap array, not sorted
+    std::vector<Callback> slots;
+    std::vector<std::uint32_t> free_slots;
     std::uint64_t next_seq = 0;
   };
 
@@ -48,9 +53,11 @@ class EventQueue {
 
   void clear();
 
-  Snapshot capture() const { return Snapshot{heap_, next_seq_}; }
+  Snapshot capture() const { return Snapshot{heap_, slots_, free_, next_seq_}; }
   void restore(const Snapshot& s) {
     heap_ = s.heap;
+    slots_ = s.slots;
+    free_ = s.free_slots;
     next_seq_ = s.next_seq;
   }
 
@@ -62,6 +69,8 @@ class EventQueue {
     }
   };
   std::vector<Event> heap_;
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
 };
 

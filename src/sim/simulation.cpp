@@ -6,11 +6,11 @@ namespace dts::sim {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
-void Simulation::schedule(Duration delay, std::function<void()> fn) {
+void Simulation::schedule(Duration delay, Callback fn) {
   schedule_at(now_ + (delay.is_negative() ? Duration{} : delay), std::move(fn));
 }
 
-void Simulation::schedule_at(TimePoint at, std::function<void()> fn) {
+void Simulation::schedule_at(TimePoint at, Callback fn) {
   if (at < now_) at = now_;
   queue_.push(at, std::move(fn));
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 
 #include "sim/event_queue.h"
@@ -62,10 +61,10 @@ class Simulation {
   std::uint64_t semantic_rng_draws() const { return semantic_rng_draws_; }
 
   /// Schedules `fn` to run `delay` from now (delay may be zero).
-  void schedule(Duration delay, std::function<void()> fn);
+  void schedule(Duration delay, Callback fn);
 
   /// Schedules `fn` at absolute time `at` (clamped to now if in the past).
-  void schedule_at(TimePoint at, std::function<void()> fn);
+  void schedule_at(TimePoint at, Callback fn);
 
   /// Runs a single event. Returns false if the queue was empty.
   bool step();

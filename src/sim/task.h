@@ -6,12 +6,17 @@
 // it safe to destroy a whole simulated process (crash semantics) while its
 // threads are blocked: killing marks each token dead, and any already-queued
 // resume event sees the flag and does nothing.
+//
+// Threading: a simulated world is built, run and destroyed on one host
+// thread (parallel campaigns run one world per worker; forked snapshot runs
+// cross a process boundary, not a thread boundary). Nothing here is shared
+// between worlds, so the WakeToken count below is deliberately not atomic.
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -28,14 +33,49 @@ enum class WakeReason : int {
 
 /// One-shot wake channel shared between a blocked coroutine, the kernel
 /// object it waits on, and any timeout event racing against the signal.
+/// Owned through WakePtr; create with make_wake().
 struct WakeToken {
   std::coroutine_handle<> handle{};
   bool fired = false;  // a wake has been accepted; later wakes are ignored
   bool dead = false;   // coroutine destroyed; never resume
   WakeReason reason = WakeReason::kSignaled;
+  std::uint32_t refs = 0;  // WakePtr holders; single-threaded (see top)
 };
 
-using WakePtr = std::shared_ptr<WakeToken>;
+/// Intrusive, non-atomic shared handle to a WakeToken: the token is deleted
+/// when the last WakePtr drops.
+class WakePtr {
+ public:
+  WakePtr() noexcept = default;
+  WakePtr(const WakePtr& o) noexcept : p_(o.p_) {
+    if (p_ != nullptr) ++p_->refs;
+  }
+  WakePtr(WakePtr&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  WakePtr& operator=(WakePtr o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~WakePtr() { reset(); }
+
+  void reset() noexcept {
+    if (p_ != nullptr && --p_->refs == 0) delete p_;
+    p_ = nullptr;
+  }
+
+  WakeToken* operator->() const noexcept { return p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+  std::uint32_t use_count() const noexcept { return p_ != nullptr ? p_->refs : 0; }
+
+  friend bool operator==(const WakePtr& a, const WakePtr& b) noexcept { return a.p_ == b.p_; }
+
+ private:
+  friend WakePtr make_wake();
+  explicit WakePtr(WakeToken* p) noexcept : p_(p) { ++p_->refs; }
+  WakeToken* p_ = nullptr;
+};
+
+/// Creates a fresh, unfired wake token.
+inline WakePtr make_wake() { return WakePtr(new WakeToken); }
 
 /// Delivers a wake to `tok` (first wake wins). The actual resume happens on
 /// the event queue, so callers may hold kernel locks / iterate waiter lists.

@@ -3,6 +3,9 @@
 // results depend on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "ntsim/kernel.h"
 #include "ntsim/kernel32.h"
 
@@ -56,6 +59,34 @@ TEST_F(SyscallFixture, SetFilePointerSemantics) {
     checked = true;
   });
   EXPECT_TRUE(checked);
+}
+
+TEST_F(SyscallFixture, WrongArityThrowsThroughBothOverloads) {
+  int thrown = 0;
+  bool dispatched = false;
+  run_body([&](Ctx c, Kernel32& k) -> sim::CoTask<void> {
+    try {
+      (void)co_await k.call(c, Fn::CloseHandle, 1, 2);
+    } catch (const std::logic_error&) {
+      ++thrown;
+    }
+    try {
+      (void)co_await k.call(c, Fn::CloseHandle, std::vector<Word>{});
+    } catch (const std::logic_error&) {
+      ++thrown;
+    }
+    try {  // one word more than any KERNEL32 function takes
+      (void)co_await k.call(c, Fn::CloseHandle, std::vector<Word>(kMaxSyscallArgs + 1, 0));
+    } catch (const std::logic_error&) {
+      ++thrown;
+    }
+    // The right arity still dispatches through the vector overload.
+    EXPECT_EQ(co_await k.call(c, Fn::GetCurrentProcessId, std::vector<Word>{}),
+              c.process->pid());
+    dispatched = true;
+  });
+  EXPECT_EQ(thrown, 3);
+  EXPECT_TRUE(dispatched);
 }
 
 TEST_F(SyscallFixture, FindFirstNextClose) {

@@ -1,11 +1,16 @@
 // Tests for the discrete-event simulation engine: time, RNG, event queue,
-// simulation loop, and the coroutine task machinery.
+// simulation loop, event callbacks, wake tokens and the coroutine task
+// machinery.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ntsim/kernel.h"
+#include "sim/callback.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -193,7 +198,7 @@ TEST(Simulation, EventBudgetThrows) {
 Task counting_task(Simulation& sim, int& counter) {
   for (int i = 0; i < 3; ++i) {
     ++counter;
-    auto tok = std::make_shared<WakeToken>();
+    auto tok = make_wake();
     sim.schedule(Duration::millis(10), [&sim, tok] { wake(sim, tok, WakeReason::kSignaled); });
     co_await WaitOn{tok};
   }
@@ -238,7 +243,7 @@ TEST(Task, ExceptionReachesCallback) {
 
 Task blocked_forever(int& progress) {
   progress = 1;
-  auto tok = std::make_shared<WakeToken>();
+  auto tok = make_wake();
   co_await WaitOn{tok};  // nobody will ever wake this
   progress = 2;
 }
@@ -259,7 +264,7 @@ TEST(Task, DestroyWhileSuspendedRunsDestructors) {
 TEST(Task, DeadTokenNeverResumes) {
   Simulation sim;
   int progress = 0;
-  auto tok = std::make_shared<WakeToken>();
+  auto tok = make_wake();
   {
     // Hand-rolled: task waits on an external token we control.
     struct Body {
@@ -284,7 +289,7 @@ TEST(Task, DeadTokenNeverResumes) {
 
 TEST(Task, FirstWakeWins) {
   Simulation sim;
-  auto tok = std::make_shared<WakeToken>();
+  auto tok = make_wake();
   WakeReason got{};
   struct Body {
     static Task run(WakePtr tok, WakeReason& got) {
@@ -301,7 +306,7 @@ TEST(Task, FirstWakeWins) {
 }
 
 CoTask<int> add_later(Simulation& sim, int a, int b) {
-  auto tok = std::make_shared<WakeToken>();
+  auto tok = make_wake();
   sim.schedule(Duration::millis(1), [&sim, tok] { wake(sim, tok, WakeReason::kSignaled); });
   co_await WaitOn{tok};
   co_return a + b;
@@ -356,7 +361,7 @@ Task outer_block(WakePtr tok, int& progress) {
 TEST(CoTask, DestroyTopFrameDestroysNestedFrame) {
   Simulation sim;
   int progress = 0;
-  auto tok = std::make_shared<WakeToken>();
+  auto tok = make_wake();
   {
     Task t = outer_block(tok, progress);
     t.start(sim);
@@ -422,6 +427,191 @@ TEST(Simulation, CaptureRestoreReplaysRngDraws) {
   std::vector<std::uint64_t> second;
   for (int i = 0; i < 16; ++i) second.push_back(sim.rng().next());
   EXPECT_EQ(first, second);
+}
+
+
+// ---------------------------------------------------------------- callbacks
+
+/// Functor that counts its live instances; `Pad` pushes it past the inline
+/// buffer.
+template <std::size_t Pad>
+struct Counted {
+  inline static int live = 0;
+  int* calls;
+  std::array<char, Pad> pad{};
+
+  explicit Counted(int* c) : calls(c) { ++live; }
+  Counted(const Counted& o) : calls(o.calls), pad(o.pad) { ++live; }
+  Counted(Counted&& o) noexcept : calls(o.calls), pad(o.pad) { ++live; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --live; }
+  void operator()() { ++*calls; }
+};
+
+template <typename F>
+void check_callback_ownership(bool expect_inline) {
+  int calls = 0;
+  {
+    Callback a{F{&calls}};
+    EXPECT_EQ(a.is_inline(), expect_inline);
+    EXPECT_EQ(F::live, 1);
+
+    Callback b = a;  // copy
+    EXPECT_EQ(F::live, 2);
+    a();
+    b();
+    EXPECT_EQ(calls, 2);
+
+    Callback c = std::move(a);  // move: no new closure, source emptied
+    EXPECT_FALSE(a);
+    EXPECT_EQ(F::live, 2);
+
+    a = c;  // copy-assign into the emptied one
+    EXPECT_EQ(F::live, 3);
+    b = std::move(c);  // move-assign destroys b's old closure
+    EXPECT_FALSE(c);
+    EXPECT_EQ(F::live, 2);
+    a();
+    b();
+    EXPECT_EQ(calls, 4);
+  }
+  EXPECT_EQ(F::live, 0);  // every closure destroyed exactly once
+}
+
+TEST(Callback, InlineClosureCopiesMovesAndDestroysOnce) {
+  static_assert(sizeof(Counted<8>) <= Callback::kInlineBytes);
+  check_callback_ownership<Counted<8>>(/*expect_inline=*/true);
+}
+
+TEST(Callback, HeapFallbackCopiesMovesAndDestroysOnce) {
+  static_assert(sizeof(Counted<64>) > Callback::kInlineBytes);
+  check_callback_ownership<Counted<64>>(/*expect_inline=*/false);
+}
+
+TEST(Callback, EmptyThrowsLikeStdFunction) {
+  Callback empty;
+  EXPECT_FALSE(empty);
+  EXPECT_THROW(empty(), std::bad_function_call);
+}
+
+// ---------------------------------------------------------------- event queue
+
+TEST(EventQueue, SameTimeFifoSurvivesSlotReuse) {
+  EventQueue q;
+  std::vector<int> fired;
+  const TimePoint t1 = TimePoint{} + Duration::millis(1);
+  const TimePoint t2 = TimePoint{} + Duration::millis(2);
+  // Free three slots; they are reused in LIFO order, i.e. not seq order.
+  for (int i = 0; i < 3; ++i) q.push(t1, [] {});
+  while (!q.empty()) q.pop()();
+
+  for (int i = 0; i < 5; ++i) q.push(t2, [&fired, i] { fired.push_back(i); });
+  q.pop()();
+  q.pop()();
+  for (int i = 5; i < 7; ++i) q.push(t2, [&fired, i] { fired.push_back(i); });
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(EventQueue, CaptureRestoreWithCallbacksInReusedSlots) {
+  using C = Counted<8>;
+  int calls = 0;
+  {
+    EventQueue q;
+    std::vector<int> fired;
+    const TimePoint t = TimePoint{} + Duration::millis(1);
+    for (int i = 0; i < 4; ++i) q.push(t, [] {});
+    while (!q.empty()) q.pop()();
+
+    // Pending events now sit in recycled slots.
+    for (int i = 0; i < 3; ++i) {
+      q.push(t + Duration::millis(3 - i), [&fired, i, c = C{&calls}]() mutable {
+        fired.push_back(i);
+        c();
+      });
+    }
+    const EventQueue::Snapshot snap = q.capture();
+    EXPECT_EQ(snap.heap.size(), 3u);
+    EXPECT_EQ(C::live, 6);  // queue + snapshot copies
+
+    while (!q.empty()) q.pop()();
+    EXPECT_EQ(fired, (std::vector<int>{2, 1, 0}));
+
+    q.restore(snap);
+    // A push after restore takes a restored free slot without clobbering
+    // the pending callbacks, and keeps the snapshot's seq numbering.
+    q.push(t + Duration::millis(2), [&fired] { fired.push_back(9); });
+    while (!q.empty()) q.pop()();
+    EXPECT_EQ(fired, (std::vector<int>{2, 1, 0, 2, 1, 9, 0}));
+    EXPECT_EQ(calls, 6);
+  }
+  EXPECT_EQ(C::live, 0);
+}
+
+// ---------------------------------------------------------------- wake tokens
+
+TEST(WakePtr, TokenFreedWhenLastHolderDrops) {
+  Simulation sim;
+  WakePtr tok = make_wake();
+  EXPECT_EQ(tok.use_count(), 1u);
+  {
+    WakePtr copy = tok;
+    EXPECT_EQ(tok.use_count(), 2u);
+    WakePtr moved = std::move(copy);
+    EXPECT_FALSE(copy);
+    EXPECT_EQ(tok.use_count(), 2u);
+  }
+  EXPECT_EQ(tok.use_count(), 1u);
+
+  // Pending timer and resume events hold references until they run.
+  wake_later(sim, tok, Duration::millis(1), WakeReason::kTimeout);
+  EXPECT_EQ(tok.use_count(), 2u);
+  sim.run();
+  EXPECT_TRUE(tok->fired);
+  EXPECT_EQ(tok->reason, WakeReason::kTimeout);
+  EXPECT_EQ(tok.use_count(), 1u);
+
+  // The last holder deletes the token (checked for leaks and double frees
+  // under the asan preset).
+  WakePtr last = tok;
+  tok.reset();
+  EXPECT_FALSE(tok);
+  EXPECT_EQ(last.use_count(), 1u);
+}
+
+// A simulated thread whose sleep timer has fired — its resume event is
+// queued — is killed before that event runs: the resume must do nothing, and
+// the token must be released by the event and the dead thread alike.
+TEST(WakePtr, QueuedResumeOfKilledThreadIsNoOp) {
+  Simulation simu{5};
+  nt::Machine m{simu, nt::MachineConfig{.name = "m", .cpu_scale = 1.0}};
+  int progress = 0;
+  m.register_program("sleeper.exe", [&](nt::Ctx c) -> Task {
+    progress = 1;
+    co_await nt::sleep_in_sim(c, Duration::millis(10));
+    progress = 2;
+  });
+  const nt::Pid pid = m.start_process("sleeper.exe", "sleeper.exe");
+  simu.run_until(TimePoint{} + Duration::millis(5));
+  ASSERT_EQ(progress, 1);
+
+  // Scheduled after the sleep timer, so it runs after the timer at t=10ms.
+  WakePtr seen;
+  simu.schedule(Duration::millis(5), [&] {
+    nt::Process* p = m.find_process(pid);
+    ASSERT_NE(p, nullptr);
+    nt::Thread* t = p->find_thread(p->main_tid());
+    ASSERT_NE(t, nullptr);
+    seen = t->current_wait;
+    ASSERT_TRUE(seen);
+    EXPECT_TRUE(seen->fired);  // the resume event is queued
+    p->kill_all_threads();
+    EXPECT_TRUE(seen->dead);
+    EXPECT_EQ(seen.use_count(), 2u);  // this test + the queued resume
+  });
+  simu.run_until(TimePoint{} + Duration::millis(20));
+  EXPECT_EQ(progress, 1);
+  EXPECT_EQ(seen.use_count(), 1u);
 }
 
 }  // namespace
