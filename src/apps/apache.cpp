@@ -261,32 +261,33 @@ sim::Task apache_worker(Ctx c, ApacheConfig cfg, nt::net::Network* network,
 
 }  // namespace
 
-std::string apache_index_content(std::size_t size) {
-  // Deterministic, and memoized: campaigns regenerate it thousands of times.
+std::shared_ptr<const std::string> apache_index_page(std::size_t size) {
+  // Deterministic, and memoized: campaigns install it thousands of times.
   // Mutex-guarded — parallel campaign workers install Apache concurrently.
   static std::mutex cache_mu;
-  static std::map<std::size_t, std::string> cache;
+  static std::map<std::size_t, std::shared_ptr<const std::string>> cache;
   std::lock_guard<std::mutex> lock(cache_mu);
   auto it = cache.find(size);
   if (it != cache.end()) return it->second;
 
-  std::string body = "<html><head><title>Apache test page</title></head><body>\n";
+  auto body = std::make_shared<std::string>(
+      "<html><head><title>Apache test page</title></head><body>\n");
   sim::Rng rng{sim::Rng::hash("apache-index")};
-  while (body.size() + 40 < size) {
+  while (body->size() + 40 < size) {
     char line[64];
     std::snprintf(line, sizeof line, "<p>block %016llx</p>\n",
                   static_cast<unsigned long long>(rng.next()));
-    body += line;
+    *body += line;
   }
-  body += "</body></html>\n";
-  body.resize(size, ' ');
-  cache.emplace(size, body);
-  return body;
+  *body += "</body></html>\n";
+  body->resize(size, ' ');
+  return cache.emplace(size, std::move(body)).first->second;
 }
 
-std::string install_apache(nt::Machine& machine, nt::net::Network& network,
-                           const ApacheConfig& cfg) {
-  const std::string index = apache_index_content(cfg.index_size);
+std::shared_ptr<const std::string> install_apache(nt::Machine& machine,
+                                                  nt::net::Network& network,
+                                                  const ApacheConfig& cfg) {
+  auto index = apache_index_page(cfg.index_size);
   machine.fs().put_file(cfg.doc_root + "\\index.html", index);
   machine.fs().mkdirs(cfg.log_dir);
   machine.fs().put_file(cfg.conf_path, "[server]\ndocumentroot=" + cfg.doc_root +

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "ntsim/kernel.h"
@@ -50,11 +51,14 @@ struct ApacheConfig {
 
 /// Installs the Apache programs, document tree, configuration file and SCM
 /// service registration on a machine. Returns the static index.html content
-/// (what a correct response must carry).
-std::string install_apache(nt::Machine& machine, nt::net::Network& network,
-                           const ApacheConfig& cfg = {});
+/// (what a correct response must carry), shared with the machine's file.
+std::shared_ptr<const std::string> install_apache(nt::Machine& machine,
+                                                  nt::net::Network& network,
+                                                  const ApacheConfig& cfg = {});
 
-/// Deterministic content of the 115 kB static document.
-std::string apache_index_content(std::size_t size);
+/// Deterministic content of the 115 kB static document, memoized per size
+/// and shared by every machine and client that uses it (read-only: the
+/// filesystem clones it on the first write).
+std::shared_ptr<const std::string> apache_index_page(std::size_t size);
 
 }  // namespace dts::apps

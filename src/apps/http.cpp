@@ -78,19 +78,30 @@ sim::CoTask<std::optional<Request>> read_request(Ctx c, nt::net::Socket& sock,
   co_return parse_request(*raw);
 }
 
-std::string expected_cgi_body(const std::string& query) {
-  // Deterministic ~1 kB document derived from the query string.
-  std::string body = "<html><head><title>CGI Result</title></head><body>\n";
-  body += "<h1>CGI output for query: " + query + "</h1>\n";
+std::shared_ptr<const std::string> expected_cgi_body(const std::string& query) {
+  // Deterministic ~1 kB document derived from the query string, memoized.
+  // Per thread rather than behind a mutex: forked snapshot children call
+  // this mid-run (cgi.exe), and a child must never inherit a held lock. The
+  // cache is bounded because a corrupted QUERY_STRING makes arbitrary
+  // queries, which are built fresh.
+  constexpr std::size_t kMaxCached = 64;
+  thread_local std::map<std::string, std::shared_ptr<const std::string>> cache;
+  auto it = cache.find(query);
+  if (it != cache.end()) return it->second;
+
+  auto body = std::make_shared<std::string>(
+      "<html><head><title>CGI Result</title></head><body>\n");
+  *body += "<h1>CGI output for query: " + query + "</h1>\n";
   const std::uint64_t h = sim::Rng::hash(query);
   for (int i = 0; i < 12; ++i) {
     char line[80];
     std::snprintf(line, sizeof line, "<p>row %02d value %016llx</p>\n", i,
                   static_cast<unsigned long long>(h ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-    body += line;
+    *body += line;
   }
-  body += "</body></html>\n";
-  return body;
+  *body += "</body></html>\n";
+  if (cache.size() >= kMaxCached) return body;
+  return cache.emplace(query, std::move(body)).first->second;
 }
 
 void register_cgi_program(nt::Machine& machine, sim::Duration startup_cost) {
@@ -106,7 +117,7 @@ void register_cgi_program(nt::Machine& machine, sim::Duration startup_cost) {
     (void)co_await api(Fn::GetEnvironmentVariableA, api.str("REQUEST_METHOD").addr,
                        qbuf.addr, 512);
 
-    const std::string doc = "Content-Type: text/html\r\n\r\n" + expected_cgi_body(query);
+    const std::string doc = "Content-Type: text/html\r\n\r\n" + *expected_cgi_body(query);
     const Word h_out = co_await api(Fn::GetStdHandle, nt::kStdOutputHandle);
     const Ptr out = api.buf(static_cast<Word>(doc.size()));
     api.mem().write_bytes(out, doc);

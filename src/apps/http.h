@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -60,6 +61,7 @@ void register_cgi_program(nt::Machine& machine, sim::Duration startup_cost);
 
 /// The exact body the simulated CGI emits for a given query — used by the
 /// DTS client to check response correctness.
-std::string expected_cgi_body(const std::string& query);
+/// Memoized per query (per thread) and shared read-only.
+std::shared_ptr<const std::string> expected_cgi_body(const std::string& query);
 
 }  // namespace dts::apps::http

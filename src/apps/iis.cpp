@@ -4,7 +4,7 @@
 #include <map>
 #include <memory>
 
-#include "apps/apache.h"  // apache_index_content (shared static-page generator)
+#include "apps/apache.h"  // apache_index_page (shared static-page generator)
 #include "apps/http.h"
 #include "apps/winapp.h"
 #include "ntsim/scm.h"
@@ -280,6 +280,7 @@ sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static
   // or over-reads the body — the "incorrect reply" class.
   std::string body;
   if (size != nt::kInvalidHandleValue) {
+    body.reserve(size);
     const Word chunk_size = 16384;
     const Ptr buffer = api.buf(chunk_size);
     const Ptr n_read = api.buf(4);
@@ -289,7 +290,7 @@ sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static
       if (co_await api(Fn::ReadFile, h, buffer.addr, want, n_read.addr, 0) == 0) break;
       const Word n = api.read_u32(n_read);
       if (n == 0) break;
-      body += api.mem().read_bytes(buffer, n);
+      api.mem().append_bytes(buffer, n, body);
       remaining -= n;
     }
   }
@@ -451,12 +452,13 @@ sim::Task iis_main(Ctx c, IisConfig cfg, nt::net::Network* network) {
 }  // namespace
 
 std::string ftp_download_content() {
-  return apache_index_content(48 * 1024);  // 48 kB binary-ish payload
+  return *apache_index_page(48 * 1024);  // 48 kB binary-ish payload
 }
 
-std::string install_iis(nt::Machine& machine, nt::net::Network& network,
-                        const IisConfig& cfg) {
-  const std::string index = apache_index_content(cfg.index_size);  // same generator
+std::shared_ptr<const std::string> install_iis(nt::Machine& machine,
+                                               nt::net::Network& network,
+                                               const IisConfig& cfg) {
+  auto index = apache_index_page(cfg.index_size);  // same generator
   machine.fs().put_file(cfg.doc_root + "\\index.html", index);
   if (cfg.enable_ftp) {
     machine.fs().put_file(cfg.ftp.root + "\\download.bin", ftp_download_content());

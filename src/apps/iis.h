@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "apps/ftp.h"
@@ -54,8 +55,9 @@ struct IisConfig {
 std::string ftp_download_content();
 
 /// Installs the IIS program, content and service registration. Returns the
-/// static index.html content.
-std::string install_iis(nt::Machine& machine, nt::net::Network& network,
-                        const IisConfig& cfg = {});
+/// static index.html content, shared with the machine's file.
+std::shared_ptr<const std::string> install_iis(nt::Machine& machine,
+                                               nt::net::Network& network,
+                                               const IisConfig& cfg = {});
 
 }  // namespace dts::apps

@@ -94,7 +94,8 @@ void finish(Ctx c, const ClientParams& p) {
 }  // namespace
 
 sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
-                              std::string expected_index, std::string expected_cgi) {
+                              std::shared_ptr<const std::string> expected_index,
+                              std::shared_ptr<const std::string> expected_cgi) {
   params.report->started_at = c.m().sim().now();
   co_await wait_for_server(c, net, params);
   // Whether or not the server came up, run the requests: a down server shows
@@ -102,12 +103,12 @@ sim::Task http_client_program(Ctx c, nt::net::Network* net, ClientParams params,
 
   auto r1 = co_await attempt_request(
       c, net, params, "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, expected_index); });
+      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, *expected_index); });
   params.report->requests.push_back(std::move(r1));
 
   auto r2 = co_await attempt_request(
       c, net, params, "GET /cgi-bin/test.cgi?id=42 HTTP/1.0\r\nHost: target\r\n\r\n",
-      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, expected_cgi); });
+      [&](const std::string& reply) { return apps::http::is_ok_reply(reply, *expected_cgi); });
   params.report->requests.push_back(std::move(r2));
 
   finish(c, params);

@@ -34,7 +34,8 @@ struct ClientParams {
 /// HttpClient: two requests — GET /index.html (expects `expected_index`) and
 /// GET /cgi-bin/test.cgi?id=42 (expects the CGI body for query "id=42").
 sim::Task http_client_program(nt::Ctx c, nt::net::Network* net, ClientParams params,
-                              std::string expected_index, std::string expected_cgi);
+                              std::shared_ptr<const std::string> expected_index,
+                              std::shared_ptr<const std::string> expected_cgi);
 
 /// SqlClient: one SELECT over the seeded table, reply must match exactly.
 sim::Task sql_client_program(nt::Ctx c, nt::net::Network* net, ClientParams params,

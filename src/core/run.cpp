@@ -65,7 +65,7 @@ nt::net::Network& FaultInjectionRun::network() { return world_->network; }
 
 const obs::SpanLog& FaultInjectionRun::spans() const { return world_->spans; }
 
-const std::set<nt::Fn>& FaultInjectionRun::activated_functions() const {
+std::set<nt::Fn> FaultInjectionRun::activated_functions() const {
   return interceptor_.called(cfg_.workload.target_image);
 }
 
@@ -76,7 +76,7 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
   if (!cfg_.topo.empty()) return execute_topology(fault);
 
   // --- install the server -----------------------------------------------------
-  std::string expected_index;
+  std::shared_ptr<const std::string> expected_index;
   switch (cfg_.workload.server) {
     case ServerKind::kApache:
       expected_index = apps::install_apache(w.target, w.network, cfg_.apache);
@@ -145,7 +145,7 @@ RunResult FaultInjectionRun::execute(const std::optional<inject::FaultSpec>& fau
     });
     w.control.start_process("ftpclient.exe", "ftpclient.exe");
   } else if (cfg_.workload.client == ClientKind::kHttp) {
-    const std::string expected_cgi = apps::http::expected_cgi_body("id=42");
+    auto expected_cgi = apps::http::expected_cgi_body("id=42");
     w.control.register_program(
         "httpclient.exe", [params, net, expected_index, expected_cgi](nt::Ctx c) {
           return http_client_program(c, net, params, expected_index, expected_cgi);

@@ -106,7 +106,7 @@ class FaultInjectionRun {
 
   /// Injectable functions the target image called during the run — the
   /// paper's "activated functions" (Table 1).
-  const std::set<nt::Fn>& activated_functions() const;
+  std::set<nt::Fn> activated_functions() const;
 
   /// The world, accessible after execute() for inspection in tests — and
   /// *during* execute() from checkpoint callbacks (snapshot capture needs the

@@ -8,7 +8,6 @@
 namespace dts::inject {
 
 namespace {
-const std::set<nt::Fn> kEmpty;
 
 inline std::uint64_t fold(std::uint64_t digest, std::uint64_t value) {
   return (digest ^ value) * 1099511628211ull;  // FNV-1a prime
@@ -79,14 +78,49 @@ std::string Interceptor::CallContext::to_string() const {
   return buf;
 }
 
-int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
-  auto it = counts_.find({image, fn});
-  return it == counts_.end() ? 0 : it->second;
+void Interceptor::refresh_flags(ImageCounts& rec) const {
+  rec.is_target = armed_ && rec.image == armed_->target_image;
+  rec.is_capture = capture_max_invocations_ > 0 && rec.image == capture_image_;
 }
 
-const std::set<nt::Fn>& Interceptor::called(const std::string& image) const {
-  auto it = called_.find(image);
-  return it == called_.end() ? kEmpty : it->second;
+Interceptor::ImageCounts& Interceptor::counts_for(const std::string& image) {
+  if (last_image_ < images_.size() && images_[last_image_].image == image) {
+    return images_[last_image_];
+  }
+  if (const ImageCounts* rec = find_counts(image)) {
+    last_image_ = static_cast<std::size_t>(rec - images_.data());
+    return images_[last_image_];
+  }
+  last_image_ = images_.size();
+  ImageCounts& rec = images_.emplace_back();
+  rec.image = image;
+  refresh_flags(rec);
+  return rec;
+}
+
+const Interceptor::ImageCounts* Interceptor::find_counts(const std::string& image) const {
+  for (const ImageCounts& rec : images_) {
+    if (rec.image == image) return &rec;
+  }
+  return nullptr;
+}
+
+int Interceptor::invocations(const std::string& image, nt::Fn fn) const {
+  const ImageCounts* rec = find_counts(image);
+  return rec == nullptr ? 0 : rec->counts[static_cast<std::size_t>(fn)];
+}
+
+std::set<nt::Fn> Interceptor::called(const std::string& image) const {
+  std::set<nt::Fn> out;
+  const ImageCounts* rec = find_counts(image);
+  if (rec == nullptr) return out;
+  const auto& registry = nt::Kernel32Registry::instance();
+  for (std::uint16_t id = 0; id < nt::kImplementedFunctionCount; ++id) {
+    if (rec->counts[id] > 0 && registry.info(id).param_count() > 0) {
+      out.insert(out.end(), static_cast<nt::Fn>(id));
+    }
+  }
+  return out;
 }
 
 bool Interceptor::target_function_called() const {
@@ -110,15 +144,12 @@ void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
   }
 
   ++calls_observed_;
-  const std::string& image = proc.image();
-
-  const int count = ++counts_[{image, rec.fn}];
-  // Arity is fixed per function, so the first call decides membership.
-  if (count == 1 && rec.argc > 0) called_[image].insert(rec.fn);
+  ImageCounts& image = counts_for(proc.image());
+  const int count = ++image.counts[static_cast<std::size_t>(rec.fn)];
 
   // Golden-run capture (pre-corruption by construction: capture runs arm no
   // fault): the planner's record of what each injectable invocation received.
-  if (count <= capture_max_invocations_ && rec.argc > 0 && image == capture_image_) {
+  if (image.is_capture && count <= capture_max_invocations_ && rec.argc > 0) {
     CapturedCall cap;
     cap.seq = rec.seq;
     cap.argc = rec.argc;
@@ -132,7 +163,7 @@ void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
     const bool param_ok = targets_param(f.type)
                               ? f.param_index >= 0 && f.param_index < rec.argc
                               : f.param_index < 0;
-    if (image == f.target_image && rec.fn == f.fn && param_ok &&
+    if (image.is_target && rec.fn == f.fn && param_ok &&
         fires_at(f, count, injected_)) {
       if (targets_param(f.type)) {
         auto& word = rec.args[static_cast<std::size_t>(f.param_index)];
@@ -180,7 +211,7 @@ void Interceptor::on_call(const nt::Process& proc, nt::CallRecord& rec) {
 
   // Trace target-image calls (post-corruption: the trace shows what the
   // kernel actually received, which is what the debugger needs).
-  if (trace_.enabled() && (!armed_ || image == armed_->target_image)) {
+  if (trace_.enabled() && (!armed_ || image.is_target)) {
     obs::TraceEvent entry;
     entry.seq = rec.seq;
     entry.time = proc.machine().sim().now();

@@ -22,6 +22,7 @@
 //                   corruption (src/forensics/ execution indexing).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "inject/fault.h"
+#include "ntsim/kernel32_registry.h"
 #include "ntsim/process.h"
 #include "ntsim/syscall.h"
 #include "obs/trace.h"
@@ -50,8 +52,12 @@ class Interceptor final : public nt::SyscallHook {
     context_.reset();
     injection_time_ = sim::TimePoint{};
     injection_machine_.clear();
+    refresh_image_flags();
   }
-  void disarm() { armed_.reset(); }
+  void disarm() {
+    armed_.reset();
+    refresh_image_flags();
+  }
   const std::optional<FaultSpec>& armed() const { return armed_; }
 
   /// True once the armed fault has fired at least once.
@@ -77,7 +83,7 @@ class Interceptor final : public nt::SyscallHook {
 
   /// Injectable functions (param count >= 1) called at least once by
   /// processes of `image` — the paper's "activated functions".
-  const std::set<nt::Fn>& called(const std::string& image) const;
+  std::set<nt::Fn> called(const std::string& image) const;
 
   /// Whether the armed fault's function was called at all by the target
   /// image (used for the skip-uncalled-functions rule).
@@ -140,6 +146,7 @@ class Interceptor final : public nt::SyscallHook {
   void set_golden_capture(std::string image, int max_invocations) {
     capture_image_ = std::move(image);
     capture_max_invocations_ = max_invocations;
+    refresh_image_flags();
   }
 
   /// Captured calls per function, in invocation order (at most the capture
@@ -188,8 +195,26 @@ class Interceptor final : public nt::SyscallHook {
   sim::TimePoint injection_time_{};
   std::string injection_machine_;
 
-  std::map<std::pair<std::string, nt::Fn>, int> counts_;
-  std::map<std::string, std::set<nt::Fn>> called_;
+  /// Invocation counts of one image, indexed by Fn. The flags cache the
+  /// image's comparison with the armed fault's target and the capture image,
+  /// so a call compares one string at most: the last-image check.
+  struct ImageCounts {
+    std::string image;
+    bool is_target = false;
+    bool is_capture = false;
+    std::array<int, nt::kImplementedFunctionCount> counts{};
+  };
+
+  /// The record of `image`, created on its first call.
+  ImageCounts& counts_for(const std::string& image);
+  const ImageCounts* find_counts(const std::string& image) const;
+  void refresh_flags(ImageCounts& rec) const;
+  void refresh_image_flags() {
+    for (ImageCounts& rec : images_) refresh_flags(rec);
+  }
+
+  std::vector<ImageCounts> images_;  // a handful per run, in first-call order
+  std::size_t last_image_ = 0;       // index of the last record used
 
   std::string capture_image_;
   int capture_max_invocations_ = 0;

@@ -125,11 +125,20 @@ Dword Filesystem::attributes(std::string_view path) const {
 }
 
 void Filesystem::put_file(std::string_view path, std::string_view contents) {
+  put_node(path, std::make_shared<std::string>(contents), /*owned=*/true);
+}
+
+void Filesystem::put_file(std::string_view path, std::shared_ptr<const std::string> contents) {
+  put_node(path, std::move(contents), /*owned=*/false);
+}
+
+void Filesystem::put_node(std::string_view path, std::shared_ptr<const std::string> contents,
+                          bool owned) {
   auto norm = normalize(path);
   if (!norm) throw std::invalid_argument("put_file: bad path: " + std::string(path));
   auto parent = parent_of(*norm);
   if (parent) mkdirs(*parent);
-  files_[fold(*norm)] = FileNode{*norm, std::make_shared<std::string>(contents)};
+  files_[fold(*norm)] = FileNode{*norm, std::move(contents), owned};
 }
 
 std::optional<std::string> Filesystem::get_file(std::string_view path) const {
@@ -174,7 +183,9 @@ Win32Error Filesystem::open(std::string_view path, Dword access, Dword dispositi
     if (created != nullptr) *created = true;
   } else if (disposition == kCreateAlways || disposition == kTruncateExisting) {
     // Fresh empty content: never clone the old bytes just to discard them.
-    files_[key].content = std::make_shared<std::string>();
+    FileNode& node = files_[key];
+    node.content = std::make_shared<std::string>();
+    node.owned = true;
   }
   if (canonical != nullptr) *canonical = key;
   return Win32Error::kSuccess;
@@ -249,7 +260,7 @@ Win32Error Filesystem::copy(std::string_view from, std::string_view to, bool fai
   if (fail_if_exists && files_.contains(fold(*nt_))) return Win32Error::kFileExists;
   auto parent = parent_of(*nt_);
   if (!parent || !dirs_.contains(fold(*parent))) return Win32Error::kPathNotFound;
-  files_[fold(*nt_)] = FileNode{*nt_, it->second.content};
+  files_[fold(*nt_)] = FileNode{*nt_, it->second.content, it->second.owned};
   return Win32Error::kSuccess;
 }
 
@@ -296,13 +307,17 @@ bool Filesystem::match(std::string_view pattern, std::string_view name) {
 }
 
 std::string& Filesystem::writable(FileNode& node) {
-  if (!node.content) {
-    node.content = std::make_shared<std::string>();
-  } else if (node.content.use_count() > 1) {
-    node.content = std::make_shared<std::string>(*node.content);
-    ++cow_copies_;
+  if (!node.content || node.content.use_count() > 1 || !node.owned) {
+    auto copy = node.content ? std::make_shared<std::string>(*node.content)
+                             : std::make_shared<std::string>();
+    if (node.content) ++cow_copies_;
+    node.content = copy;
+    node.owned = true;
+    return *copy;
   }
-  return *node.content;
+  // Sole owner of a string this filesystem allocated non-const: the const in
+  // the pointer type only guards the shared-in contents, so writing is sound.
+  return const_cast<std::string&>(*node.content);
 }
 
 bool operator==(const Filesystem::Snapshot& a, const Filesystem::Snapshot& b) {

@@ -77,6 +77,10 @@ class Filesystem {
   /// Creates or replaces a file with the given contents. Creates parents.
   void put_file(std::string_view path, std::string_view contents);
 
+  /// Same, sharing `contents` instead of copying it. The file never writes
+  /// through the shared string: its first write clones it.
+  void put_file(std::string_view path, std::shared_ptr<const std::string> contents);
+
   /// Reads a whole file; nullopt if missing.
   std::optional<std::string> get_file(std::string_view path) const;
 
@@ -122,7 +126,11 @@ class Filesystem {
 
   struct FileNode {
     std::string display_path;  // case-preserving canonical path
-    std::shared_ptr<std::string> content;
+    std::shared_ptr<const std::string> content;
+    /// Whether this filesystem allocated `content` (and may therefore write
+    /// it in place once it holds the only reference); false for contents
+    /// shared in through put_file.
+    bool owned = true;
 
     const std::string& data() const {
       static const std::string empty;
@@ -146,6 +154,9 @@ class Filesystem {
 
  private:
   static std::optional<std::string> parent_of(std::string_view normalized);
+
+  /// put_file's body: creates parents, then creates or replaces the node.
+  void put_node(std::string_view path, std::shared_ptr<const std::string> contents, bool owned);
 
   /// The node's content string, cloned first if a snapshot still shares it.
   std::string& writable(FileNode& node);

@@ -1,5 +1,6 @@
 #include "ntsim/memory.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -20,44 +21,52 @@ Ptr VirtualMemory::alloc(Word size) {
   }
   const Word base = next_addr_;
   next_addr_ = base + static_cast<Word>(usable) + kGuardGap;
-  Block b;
-  b.size = size;
-  b.bytes = std::make_shared<std::vector<std::byte>>(size, std::byte{0});
-  blocks_.emplace(base, std::move(b));
+  // Sorted insert; with the bump allocator above this is always an append.
+  const auto pos = std::upper_bound(blocks_.begin(), blocks_.end(), base,
+                                    [](Word a, const Block& b) { return a < b.base; });
+  blocks_.insert(pos, Block{base, size, std::make_shared<std::byte[]>(size)});
   bytes_in_use_ += size;
   return Ptr{base};
 }
 
-std::vector<std::byte>& VirtualMemory::writable(const Block& b) {
-  // `b` lives in blocks_ (find() returns owned elements); the map is not
+std::byte* VirtualMemory::writable(const Block& b) {
+  // `b` lives in blocks_ (find() returns owned elements); the vector is not
   // resized here, so mutating the payload pointer through the const ref is
   // safe — the same const_cast the pre-COW code did on the byte vector.
   Block& block = const_cast<Block&>(b);
   if (block.bytes.use_count() > 1) {
-    block.bytes = std::make_shared<std::vector<std::byte>>(*block.bytes);
+    auto copy = std::make_shared_for_overwrite<std::byte[]>(block.size);
+    std::memcpy(copy.get(), block.bytes.get(), block.size);
+    block.bytes = std::move(copy);
     ++cow_copies_;
   }
-  return *block.bytes;
+  return block.bytes.get();
+}
+
+std::size_t VirtualMemory::at_base(Word base) const {
+  const auto it = std::lower_bound(blocks_.begin(), blocks_.end(), base,
+                                   [](const Block& b, Word a) { return b.base < a; });
+  return it != blocks_.end() && it->base == base ? static_cast<std::size_t>(it - blocks_.begin())
+                                                 : blocks_.size();
 }
 
 bool VirtualMemory::free(Ptr p) {
-  auto it = blocks_.find(p.addr);
-  if (it == blocks_.end()) return false;
-  bytes_in_use_ -= it->second.size;
-  blocks_.erase(it);
+  const std::size_t i = at_base(p.addr);
+  if (i == blocks_.size()) return false;
+  bytes_in_use_ -= blocks_[i].size;
+  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
   return true;
 }
 
 const VirtualMemory::Block* VirtualMemory::find(Word addr, Word size, Word* offset) const {
-  if (addr == 0 || blocks_.empty()) return nullptr;
-  auto it = blocks_.upper_bound(addr);
+  if (addr == 0) return nullptr;
+  // The last block with base <= addr is the only one that can contain it.
+  auto it = std::upper_bound(blocks_.begin(), blocks_.end(), addr,
+                             [](Word a, const Block& b) { return a < b.base; });
   if (it == blocks_.begin()) return nullptr;
-  --it;
-  const Word base = it->first;
-  const Block& b = it->second;
-  if (addr < base || addr - base > b.size) return nullptr;
-  const Word off = addr - base;
-  if (size > b.size - off) return nullptr;
+  const Block& b = *--it;
+  const Word off = addr - b.base;
+  if (off > b.size || size > b.size - off) return nullptr;
   if (offset != nullptr) *offset = off;
   return &b;
 }
@@ -67,31 +76,32 @@ bool VirtualMemory::valid(Ptr p, Word size) const {
 }
 
 Word VirtualMemory::block_size(Ptr p) const {
-  auto it = blocks_.find(p.addr);
-  return it == blocks_.end() ? 0 : it->second.size;
+  const std::size_t i = at_base(p.addr);
+  return i == blocks_.size() ? 0 : blocks_[i].size;
 }
 
 void VirtualMemory::write(Ptr p, std::span<const std::byte> data) {
   Word off = 0;
   const Block* b = find(p.addr, static_cast<Word>(data.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/true};
-  std::memcpy(writable(*b).data() + off, data.data(), data.size());
+  std::memcpy(writable(*b) + off, data.data(), data.size());
 }
 
 void VirtualMemory::read(Ptr p, std::span<std::byte> out) const {
   Word off = 0;
   const Block* b = find(p.addr, static_cast<Word>(out.size()), &off);
   if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
-  std::memcpy(out.data(), b->bytes->data() + off, out.size());
+  std::memcpy(out.data(), b->bytes.get() + off, out.size());
 }
 
 std::vector<std::byte> VirtualMemory::read(Ptr p, Word size) const {
   // Validate before allocating: a size corrupted to 0xFFFFFFFF must fault,
   // not allocate 4 GB of host memory first.
-  if (!valid(p, size)) throw AccessViolation{p.addr, /*is_write=*/false};
-  std::vector<std::byte> out(size);
-  read(p, out);
-  return out;
+  Word off = 0;
+  const Block* b = find(p.addr, size, &off);
+  if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  const std::byte* src = b->bytes.get() + off;
+  return std::vector<std::byte>(src, src + size);
 }
 
 void VirtualMemory::write_u32(Ptr p, Word v) {
@@ -113,10 +123,16 @@ void VirtualMemory::write_bytes(Ptr p, std::string_view s) {
 }
 
 std::string VirtualMemory::read_bytes(Ptr p, Word size) const {
-  if (!valid(p, size)) throw AccessViolation{p.addr, /*is_write=*/false};
-  std::string out(size, '\0');
-  read(p, std::as_writable_bytes(std::span{out.data(), out.size()}));
+  std::string out;
+  append_bytes(p, size, out);
   return out;
+}
+
+void VirtualMemory::append_bytes(Ptr p, Word size, std::string& out) const {
+  Word off = 0;
+  const Block* b = find(p.addr, size, &off);
+  if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  out.append(reinterpret_cast<const char*>(b->bytes.get()) + off, size);
 }
 
 void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
@@ -126,16 +142,21 @@ void VirtualMemory::write_cstr(Ptr p, std::string_view s) {
 }
 
 std::string VirtualMemory::read_cstr(Ptr p, Word max_len) const {
-  // Walk byte-by-byte within the containing block; running off the end of
-  // the block before a NUL is an access violation, as on real hardware.
-  std::string out;
-  for (Word i = 0; i < max_len; ++i) {
-    std::byte b;
-    read(p.offset(i), std::span{&b, 1});
-    if (b == std::byte{0}) return out;
-    out.push_back(static_cast<char>(b));
+  // Scan within the containing block; running off the end of the block before
+  // a NUL is an access violation at the first byte past it, as on real
+  // hardware (guard gaps keep that byte unmapped).
+  if (max_len == 0) return {};
+  Word off = 0;
+  const Block* b = find(p.addr, 1, &off);
+  if (b == nullptr) throw AccessViolation{p.addr, /*is_write=*/false};
+  const char* s = reinterpret_cast<const char*>(b->bytes.get()) + off;
+  const Word in_block = b->size - off;
+  const Word scan = std::min(in_block, max_len);
+  if (const void* nul = std::memchr(s, 0, scan)) {
+    return std::string(s, static_cast<const char*>(nul));
   }
-  return out;  // truncated at max_len
+  if (scan == max_len) return std::string(s, scan);  // truncated at max_len
+  throw AccessViolation{p.addr + in_block, /*is_write=*/false};
 }
 
 Ptr VirtualMemory::alloc_cstr(std::string_view s) {
@@ -149,11 +170,11 @@ bool operator==(const VirtualMemory::Snapshot& a, const VirtualMemory::Snapshot&
       a.blocks.size() != b.blocks.size()) {
     return false;
   }
-  auto ia = a.blocks.begin();
-  auto ib = b.blocks.begin();
-  for (; ia != a.blocks.end(); ++ia, ++ib) {
-    if (ia->first != ib->first || ia->second.size != ib->second.size) return false;
-    if (ia->second.bytes != ib->second.bytes && *ia->second.bytes != *ib->second.bytes) {
+  for (std::size_t i = 0; i < a.blocks.size(); ++i) {
+    const VirtualMemory::Block& x = a.blocks[i];
+    const VirtualMemory::Block& y = b.blocks[i];
+    if (x.base != y.base || x.size != y.size) return false;
+    if (x.bytes != y.bytes && std::memcmp(x.bytes.get(), y.bytes.get(), x.size) != 0) {
       return false;
     }
   }
@@ -162,15 +183,15 @@ bool operator==(const VirtualMemory::Snapshot& a, const VirtualMemory::Snapshot&
 
 VirtualMemory::Snapshot VirtualMemory::capture(CowStats* stats) const {
   if (stats != nullptr) {
-    for (const auto& [base, b] : blocks_) {
-      // use_count > 1 before this capture copies the map means an earlier
+    for (const Block& b : blocks_) {
+      // use_count > 1 before this capture copies the vector means an earlier
       // snapshot still shares the payload — the block stayed clean.
       if (b.bytes.use_count() > 1) {
         ++stats->shared_blocks;
-        stats->shared_bytes += b.bytes->size();
+        stats->shared_bytes += b.size;
       } else {
         ++stats->copied_blocks;
-        stats->copied_bytes += b.bytes->size();
+        stats->copied_bytes += b.size;
       }
     }
   }

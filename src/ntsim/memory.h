@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -57,6 +56,10 @@ class VirtualMemory {
   void write_bytes(Ptr p, std::string_view s);
   std::string read_bytes(Ptr p, Word size) const;
 
+  /// Appends [p, p+size) to `out` straight from the block: no temporary.
+  /// Throws AccessViolation (leaving `out` untouched) on an invalid range.
+  void append_bytes(Ptr p, Word size, std::string& out) const;
+
   /// Writes `s` plus a NUL terminator.
   void write_cstr(Ptr p, std::string_view s);
 
@@ -72,18 +75,22 @@ class VirtualMemory {
   std::uint64_t bytes_in_use() const { return bytes_in_use_; }
 
   // --- snapshots (src/snap/) ------------------------------------------------
-  // Block payloads are copy-on-write: a capture copies the block map but
-  // structure-shares every payload vector with the live space; the first
-  // write to a shared block clones it. Hundreds of snapshots of an idle
-  // address space therefore cost one map copy each, not a deep copy.
+  // Block payloads are copy-on-write: a capture copies the block vector but
+  // structure-shares every payload with the live space; the first write to a
+  // shared block clones it. Hundreds of snapshots of an idle address space
+  // therefore cost one vector copy each, not a deep copy.
 
   struct Block {
+    Word base = 0;
     Word size = 0;
-    std::shared_ptr<std::vector<std::byte>> bytes;
+    std::shared_ptr<std::byte[]> bytes;  // exactly `size` bytes
   };
 
+  /// Live blocks in ascending base order.
+  using Blocks = std::vector<Block>;
+
   struct Snapshot {
-    std::map<Word, Block> blocks;  // payloads shared with the live space
+    Blocks blocks;  // payloads shared with the live space
     Word next_addr = kBaseAddress;
     std::uint64_t bytes_in_use = 0;
 
@@ -105,10 +112,13 @@ class VirtualMemory {
   /// Returns the block containing [addr, addr+size), or nullptr.
   const Block* find(Word addr, Word size, Word* offset) const;
 
-  /// The block's payload, cloned first if a snapshot still shares it.
-  std::vector<std::byte>& writable(const Block& b);
+  /// Index of the live block whose base is exactly `base`, or blocks_.size().
+  std::size_t at_base(Word base) const;
 
-  std::map<Word, Block> blocks_;  // keyed by base address
+  /// The block's payload, cloned first if a snapshot still shares it.
+  std::byte* writable(const Block& b);
+
+  Blocks blocks_;
   Word next_addr_ = kBaseAddress;
   std::uint64_t bytes_in_use_ = 0;
   std::uint64_t cow_copies_ = 0;

@@ -96,11 +96,11 @@ void fold_machine(std::uint64_t& h, const nt::Machine::Snapshot& m) {
     fold_u64(h, ps.mem.next_addr);
     fold_u64(h, ps.mem.bytes_in_use);
     fold_u64(h, ps.mem.blocks.size());
-    for (const auto& [base, block] : ps.mem.blocks) {
-      fold_u64(h, base);
+    for (const nt::VirtualMemory::Block& block : ps.mem.blocks) {
+      fold_u64(h, block.base);
       fold_u64(h, block.size);
-      fold_u64(h, block.bytes->size());
-      fold_bytes(h, block.bytes->data(), block.bytes->size());
+      fold_u64(h, block.size);  // payload length (== size; kept for digest stability)
+      fold_bytes(h, block.bytes.get(), block.size);
     }
     fold_u64(h, ps.handles.next);
     fold_u64(h, ps.handles.table.size());

@@ -37,7 +37,7 @@ struct RelayParams {
   std::uint16_t app_port = 0;  // local application port
   std::string check_request;   // wire bytes exercising the local app
   bool http = false;           // verify as HTTP 200 + body vs exact reply
-  std::string expected;        // body (http) or whole reply (exact)
+  std::shared_ptr<const std::string> expected;  // body (http) or whole reply (exact)
   std::string next_lb;         // next tier's balancer machine; empty = last tier
   sim::Duration ready_timeout;
   sim::Duration ready_poll;
@@ -110,7 +110,7 @@ sim::Task relay_conn(Ctx c, nt::net::Network* net, std::shared_ptr<const RelayPa
                                   : 0;
   auto reply = co_await exchange(c, net, p.self, p.app_port, p.check_request, p.hop_timeout,
                                  /*until_eof=*/true);
-  if (reply) ok = p.http ? apps::http::is_ok_reply(*reply, p.expected) : *reply == p.expected;
+  if (reply) ok = p.http ? apps::http::is_ok_reply(*reply, *p.expected) : *reply == *p.expected;
   if (tl != nullptr) {
     tl->end_span(check, now_us(c), ok ? "ok" : (reply ? "err" : "timeout"));
   }
@@ -271,7 +271,8 @@ TopologyRuntime install_topology(sim::Simulation& sim, nt::net::Network& net,
         rp.http = true;
         rp.check_request = "GET /index.html HTTP/1.0\r\nHost: target\r\n\r\n";
       } else {  // sql_server (parse_topology admits nothing else)
-        rp.expected = apps::install_sql_server(m, net, params.sql);
+        rp.expected = std::make_shared<const std::string>(
+            apps::install_sql_server(m, net, params.sql));
         m.scm().start_service(params.sql.service_name);
         rp.app_port = params.sql.port;
         rp.http = false;

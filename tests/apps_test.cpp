@@ -42,7 +42,7 @@ sim::CoTask<std::optional<std::string>> fetch(Ctx c, nt::net::Network& net,
 
 TEST(Apache, ServesStaticAndCgi) {
   AppWorld w;
-  const std::string index = install_apache(w.target, w.net);
+  const std::string index = *install_apache(w.target, w.net);
   ASSERT_EQ(w.target.scm().start_service("Apache"), nt::Win32Error::kSuccess);
 
   std::optional<std::string> static_resp, cgi_resp;
@@ -61,7 +61,7 @@ TEST(Apache, ServesStaticAndCgi) {
 
   ASSERT_TRUE(cgi_resp.has_value());
   EXPECT_NE(cgi_resp->find("HTTP/1.0 200"), std::string::npos);
-  EXPECT_NE(cgi_resp->find(http::expected_cgi_body("x=1").substr(0, 60)),
+  EXPECT_NE(cgi_resp->find(http::expected_cgi_body("x=1")->substr(0, 60)),
             std::string::npos);
 
   // Two processes: master + worker.
@@ -91,7 +91,7 @@ TEST(Apache, MasterRespawnsDeadWorker) {
 
 TEST(Apache, WorkerStillServesAfterRespawn) {
   AppWorld w;
-  const std::string index = install_apache(w.target, w.net);
+  const std::string index = *install_apache(w.target, w.net);
   w.target.scm().start_service("Apache");
   w.simu.run_until(w.simu.now() + Duration::seconds(10));
   w.target.request_process_exit(w.target.find_process_by_image("apache_child.exe")->pid(),
@@ -114,7 +114,7 @@ TEST(Apache, WorkerPoolModeServesAndRespawns) {
   AppWorld w;
   ApacheConfig cfg;
   cfg.max_children = 3;
-  const std::string index = install_apache(w.target, w.net, cfg);
+  const std::string index = *install_apache(w.target, w.net, cfg);
   w.target.scm().start_service("Apache");
   w.simu.run_until(w.simu.now() + Duration::seconds(15));
 
@@ -145,7 +145,7 @@ TEST(Apache, WorkerPoolModeServesAndRespawns) {
 
 TEST(Iis, ServesStaticAndCgi) {
   AppWorld w;
-  const std::string index = install_iis(w.target, w.net);
+  const std::string index = *install_iis(w.target, w.net);
   ASSERT_EQ(w.target.scm().start_service("W3SVC"), nt::Win32Error::kSuccess);
 
   std::optional<std::string> static_resp, cgi_resp, missing_resp;
@@ -164,7 +164,7 @@ TEST(Iis, ServesStaticAndCgi) {
   EXPECT_GT(static_resp->size(), 115 * 1024u);
 
   ASSERT_TRUE(cgi_resp.has_value());
-  EXPECT_NE(cgi_resp->find(http::expected_cgi_body("q=2").substr(0, 60)),
+  EXPECT_NE(cgi_resp->find(http::expected_cgi_body("q=2")->substr(0, 60)),
             std::string::npos);
 
   ASSERT_TRUE(missing_resp.has_value());
@@ -182,6 +182,27 @@ TEST(Iis, ActivatesManyMoreFunctionsThanApacheWorker) {
   w.simu.run_until(w.simu.now() + Duration::seconds(30));
   EXPECT_EQ(w.target.scm().query("W3SVC")->state, nt::ServiceState::kRunning);
   EXPECT_GT(w.target.syscalls_made, 60u);
+}
+
+TEST(SharedIndexPage, WriteOnOneMachineLeavesOthersAndMemoUntouched) {
+  // Apache and IIS install the same memoized page into each machine's file
+  // system without copying it; a write through one machine must clone.
+  AppWorld w;
+  const auto index = install_apache(w.target, w.net);
+  const auto other = install_iis(w.control, w.net);
+  ASSERT_EQ(index, other);  // one shared page, not two copies
+  const std::string golden = *index;
+
+  const std::string path = ApacheConfig{}.doc_root + "\\index.html";
+  std::string canon;
+  ASSERT_EQ(w.target.fs().open(path, nt::kGenericWrite, nt::kOpenExisting, &canon, nullptr),
+            nt::Win32Error::kSuccess);
+  ASSERT_EQ(w.target.fs().write(canon, 0, "CORRUPTED"), nt::Win32Error::kSuccess);
+
+  EXPECT_EQ(w.target.fs().get_file(path)->substr(0, 9), "CORRUPTED");
+  EXPECT_EQ(*apache_index_page(golden.size()), golden);
+  EXPECT_EQ(*index, golden);
+  EXPECT_EQ(w.control.fs().get_file(IisConfig{}.doc_root + "\\index.html"), golden);
 }
 
 TEST(SqlServer, AnswersQuery) {

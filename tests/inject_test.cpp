@@ -122,6 +122,102 @@ TEST(Interceptor, CountsInvocationsPerImage) {
   EXPECT_FALSE(w.icept.called("a.exe").contains(Fn::PulseEvent));
 }
 
+TEST(Interceptor, CountsInterleavedImagesSeparately) {
+  // Three processes alternate call by call, so every call switches the image
+  // record; counts, capture and injection must each follow their own image.
+  InjectWorld w;
+  FaultSpec f;
+  f.target_image = "b.exe";
+  f.fn = Fn::Sleep;
+  f.param_index = 0;
+  f.invocation = 4;
+  f.type = FaultType::kZero;
+  w.icept.arm(f);
+  w.icept.set_golden_capture("c.exe", 2);
+
+  auto looper = [](int rounds) {
+    return [rounds](nt::Ctx c) -> sim::Task {
+      auto& k = c.m().k32();
+      for (int i = 0; i < rounds; ++i) {
+        (void)co_await k.call(c, Fn::SetEvent, 0);
+        (void)co_await k.call(c, Fn::Sleep, 10);
+      }
+    };
+  };
+  w.m.register_program("a.exe", looper(3));
+  w.m.register_program("b.exe", looper(5));
+  w.m.register_program("c.exe", looper(7));
+  w.m.start_process("a.exe", "a.exe");
+  w.m.start_process("b.exe", "b.exe");
+  w.m.start_process("c.exe", "c.exe");
+  w.simu.run_until(w.simu.now() + sim::Duration::seconds(60));
+
+  EXPECT_EQ(w.icept.invocations("a.exe", Fn::SetEvent), 3);
+  EXPECT_EQ(w.icept.invocations("b.exe", Fn::SetEvent), 5);
+  EXPECT_EQ(w.icept.invocations("c.exe", Fn::SetEvent), 7);
+  EXPECT_EQ(w.icept.invocations("a.exe", Fn::Sleep), 3);
+  EXPECT_EQ(w.icept.invocations("b.exe", Fn::Sleep), 5);
+  EXPECT_EQ(w.icept.invocations("c.exe", Fn::Sleep), 7);
+
+  ASSERT_TRUE(w.icept.injected());
+  ASSERT_TRUE(w.icept.injection_context().has_value());
+  EXPECT_EQ(w.icept.injection_context()->invocation, 4);
+  EXPECT_EQ(w.icept.original_word(), 10u);
+  EXPECT_TRUE(w.icept.target_function_called());
+
+  // Only c.exe's first two invocations of each function were captured.
+  const auto& captured = w.icept.captured_calls();
+  ASSERT_EQ(captured.size(), 2u);
+  EXPECT_EQ(captured.at(Fn::SetEvent).size(), 2u);
+  EXPECT_EQ(captured.at(Fn::Sleep).size(), 2u);
+}
+
+TEST(Interceptor, ArmingMidRunTargetsAnImageAlreadySeen) {
+  // Forked snapshot children arm after the target image has made calls.
+  InjectWorld w;
+  w.run_program("a.exe", [](nt::Ctx c) -> sim::Task {
+    auto& k = c.m().k32();
+    (void)co_await k.call(c, Fn::Sleep, 10);
+    (void)co_await k.call(c, Fn::Sleep, 10);
+    (void)co_await k.call(c, Fn::Sleep, 100000);  // still asleep when armed
+    (void)co_await k.call(c, Fn::Sleep, 1000);
+  });
+  ASSERT_EQ(w.icept.invocations("a.exe", Fn::Sleep), 3);
+  FaultSpec f;
+  f.target_image = "a.exe";
+  f.fn = Fn::Sleep;
+  f.param_index = 0;
+  f.invocation = 4;
+  f.type = FaultType::kZero;
+  w.icept.arm(f);
+  w.simu.run_until(w.simu.now() + sim::Duration::seconds(120));
+  EXPECT_TRUE(w.icept.injected());
+  EXPECT_EQ(w.icept.original_word(), 1000u);
+}
+
+TEST(Interceptor, CalledExcludesZeroArgumentFunctions) {
+  InjectWorld w;
+  w.run_program("a.exe", [](nt::Ctx c) -> sim::Task {
+    auto& k = c.m().k32();
+    (void)co_await k.call(c, Fn::GetTickCount);
+    (void)co_await k.call(c, Fn::GetCurrentProcessId);
+    (void)co_await k.call(c, Fn::SetEvent, 0);
+  });
+  EXPECT_EQ(w.icept.invocations("a.exe", Fn::GetTickCount), 1);
+  EXPECT_EQ(w.icept.invocations("a.exe", Fn::GetCurrentProcessId), 1);
+  EXPECT_EQ(w.icept.called("a.exe"), std::set<Fn>{Fn::SetEvent});
+}
+
+TEST(Interceptor, UnseenImageReportsNothing) {
+  InjectWorld w;
+  w.run_program("a.exe", [](nt::Ctx c) -> sim::Task {
+    (void)co_await c.m().k32().call(c, Fn::SetEvent, 0);
+  });
+  EXPECT_EQ(w.icept.invocations("never.exe", Fn::SetEvent), 0);
+  EXPECT_TRUE(w.icept.called("never.exe").empty());
+  EXPECT_EQ(w.icept.calls_observed(), 1u);
+}
+
 TEST(Interceptor, InjectsExactlyOneInvocation) {
   InjectWorld w;
   FaultSpec f;

@@ -99,6 +99,73 @@ TEST(VirtualMemory, U32RoundTrip) {
   EXPECT_EQ(vm.read_u32(p), 0xDEADBEEFu);
 }
 
+TEST(VirtualMemory, CStrFaultAddressIsFirstBytePastBlock) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(8);
+  vm.write_bytes(p, "abcdefgh");  // no NUL inside the block
+  try {
+    (void)vm.read_cstr(p.offset(3));
+    FAIL() << "read_cstr ran off the block without faulting";
+  } catch (const AccessViolation& av) {
+    EXPECT_EQ(av.address(), p.addr + 8);
+    EXPECT_FALSE(av.is_write());
+  }
+}
+
+TEST(VirtualMemory, CStrMaxLenTruncates) {
+  VirtualMemory vm;
+  Ptr p = vm.alloc(8);
+  vm.write_bytes(p, "abcdefgh");
+  EXPECT_EQ(vm.read_cstr(p, 3), "abc");
+  EXPECT_EQ(vm.read_cstr(p, 8), "abcdefgh");  // truncation wins at the block end
+  EXPECT_THROW(vm.read_cstr(p, 9), AccessViolation);
+  EXPECT_EQ(vm.read_cstr(Ptr{0}, 0), "");    // nothing read, nothing faults
+  EXPECT_EQ(vm.read_cstr(Ptr{0xFFFFFFFF}, 0), "");
+  EXPECT_THROW(vm.read_cstr(Ptr{0}, 1), AccessViolation);
+}
+
+TEST(VirtualMemory, FreeMiddleBlockKeepsNeighbours) {
+  VirtualMemory vm;
+  Ptr a = vm.alloc(16);
+  Ptr b = vm.alloc(32);
+  Ptr c = vm.alloc(64);
+  vm.write_cstr(a, "left");
+  vm.write_cstr(c, "right");
+  EXPECT_TRUE(vm.free(b));
+  EXPECT_FALSE(vm.valid(b, 1));
+  EXPECT_EQ(vm.block_size(b), 0u);
+  EXPECT_EQ(vm.read_cstr(a), "left");
+  EXPECT_EQ(vm.read_cstr(c.offset(1)), "ight");
+  EXPECT_EQ(vm.block_size(a), 16u);
+  EXPECT_EQ(vm.block_size(c), 64u);
+  EXPECT_EQ(vm.live_blocks(), 2u);
+  EXPECT_EQ(vm.bytes_in_use(), 80u);
+}
+
+TEST(VirtualMemory, RestoredPayloadsSharedUntilFirstWrite) {
+  VirtualMemory vm;
+  Ptr a = vm.alloc(16);
+  Ptr b = vm.alloc(16);
+  vm.write_cstr(a, "golden");
+  vm.write_cstr(b, "other");
+  const VirtualMemory::Snapshot snap = vm.capture();
+  vm.restore(snap);
+  ASSERT_EQ(snap.blocks.size(), 2u);
+  EXPECT_EQ(snap.blocks[0].bytes.use_count(), 2);  // snapshot + live space
+  EXPECT_EQ(vm.cow_copies(), 0u);
+
+  vm.write_cstr(a, "mutant");
+  EXPECT_EQ(vm.cow_copies(), 1u);
+  EXPECT_EQ(snap.blocks[0].bytes.use_count(), 1);  // the live block cloned
+  EXPECT_EQ(snap.blocks[1].bytes.use_count(), 2);  // the untouched one still shares
+  vm.write_cstr(a, "again");
+  EXPECT_EQ(vm.cow_copies(), 1u);  // already private: no second clone
+
+  vm.restore(snap);
+  EXPECT_EQ(vm.read_cstr(a), "golden");
+  EXPECT_EQ(vm.read_cstr(b), "other");
+}
+
 // ---------------------------------------------------------------- filesystem
 
 TEST(Filesystem, NormalizePaths) {
@@ -201,6 +268,30 @@ TEST(Filesystem, RmdirRules) {
   fs.remove("C:\\d\\f.txt");
   EXPECT_EQ(fs.rmdir("C:\\d"), Win32Error::kSuccess);
   EXPECT_EQ(fs.rmdir("C:\\d"), Win32Error::kPathNotFound);
+}
+
+TEST(Filesystem, SharedContentIsNeverWrittenInPlace) {
+  // The deleter records what the shared string held when the filesystem let
+  // go of it: a write must clone it even though the filesystem holds the
+  // only reference.
+  std::string at_release;
+  Filesystem fs;
+  fs.put_file("C:\\www\\index.html",
+              std::shared_ptr<const std::string>(new std::string("shared page"),
+                                                 [&](const std::string* s) {
+                                                   at_release = *s;
+                                                   delete s;
+                                                 }));
+  std::string canon;
+  ASSERT_EQ(fs.open("C:\\www\\index.html", kGenericWrite, kOpenExisting, &canon, nullptr),
+            Win32Error::kSuccess);
+  EXPECT_EQ(fs.write(canon, 0, "SHARED"), Win32Error::kSuccess);
+  EXPECT_EQ(at_release, "shared page");
+  EXPECT_EQ(fs.get_file("C:\\www\\index.html"), "SHARED page");
+  EXPECT_EQ(fs.cow_copies(), 1u);
+  EXPECT_EQ(fs.write(canon, 6, "!"), Win32Error::kSuccess);  // private now: in place
+  EXPECT_EQ(fs.cow_copies(), 1u);
+  EXPECT_EQ(fs.get_file("C:\\www\\index.html"), "SHARED!page");
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(ProcessEdge, AllThreeIisProtocolsCoexist) {
   apps::IisConfig cfg;
   cfg.enable_ftp = true;
   cfg.enable_gopher = true;
-  const std::string index = apps::install_iis(w.m, w.net, cfg);
+  const std::string index = *apps::install_iis(w.m, w.net, cfg);
   w.m.scm().start_service("W3SVC");
 
   bool http_ok = false, gopher_ok = false;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "core/campaign.h"
 #include "core/report.h"
@@ -22,34 +23,83 @@ class MemoryChaos : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MemoryChaos, BookkeepingInvariants) {
   sim::Rng rng{GetParam()};
   nt::VirtualMemory vm;
-  std::map<nt::Word, std::pair<nt::Word, char>> live;  // base -> (size, fill)
+  // base -> (size, fill); a block holds `fill` bytes with a NUL at nul_at
+  // (== size: no NUL), so read_cstr has a known answer.
+  struct Model {
+    nt::Word size;
+    char fill;
+    nt::Word nul_at;
+  };
+  std::map<nt::Word, Model> live;
   std::uint64_t expected_bytes = 0;
+  // Captured partway through; restored later, after which the model must be
+  // the one at capture time.
+  std::optional<nt::VirtualMemory::Snapshot> snap;
+  std::map<nt::Word, Model> snap_live;
+  std::uint64_t snap_bytes = 0;
+
+  auto pick = [&] {
+    auto it = live.begin();
+    std::advance(it, rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
+    return it;
+  };
 
   for (int step = 0; step < 600; ++step) {
-    const int action = static_cast<int>(rng.uniform(0, 2));
+    if (step == 200) {
+      snap = vm.capture();
+      snap_live = live;
+      snap_bytes = expected_bytes;
+    } else if (step == 400) {
+      vm.restore(*snap);
+      live = snap_live;
+      expected_bytes = snap_bytes;
+    }
+    const int action = static_cast<int>(rng.uniform(0, 3));
     if (action == 0 || live.empty()) {
       const auto size = static_cast<nt::Word>(rng.uniform(1, 2000));
       const char fill = static_cast<char>('a' + rng.uniform(0, 25));
+      const auto nul_at = static_cast<nt::Word>(rng.uniform(0, size));
       const nt::Ptr p = vm.alloc(size);
-      vm.write_bytes(p, std::string(size, fill));
+      std::string data(size, fill);
+      if (nul_at < size) data[nul_at] = '\0';
+      vm.write_bytes(p, data);
       ASSERT_FALSE(live.contains(p.addr));  // no overlap with a live base
-      live[p.addr] = {size, fill};
+      live[p.addr] = {size, fill, nul_at};
       expected_bytes += size;
     } else if (action == 1) {
       // Free a random live block.
-      auto it = live.begin();
-      std::advance(it, rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
+      auto it = pick();
       ASSERT_TRUE(vm.free(nt::Ptr{it->first}));
       EXPECT_THROW(vm.read_u32(nt::Ptr{it->first}), nt::AccessViolation);
-      expected_bytes -= it->second.first;
+      expected_bytes -= it->second.size;
       live.erase(it);
-    } else {
+    } else if (action == 2) {
       // Verify a random live block still holds its fill pattern.
-      auto it = live.begin();
-      std::advance(it, rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
-      const auto [size, fill] = it->second;
-      const std::string data = vm.read_bytes(nt::Ptr{it->first}, size);
-      EXPECT_EQ(data, std::string(size, fill));
+      auto it = pick();
+      const Model m = it->second;
+      std::string want(m.size, m.fill);
+      if (m.nul_at < m.size) want[m.nul_at] = '\0';
+      EXPECT_EQ(vm.read_bytes(nt::Ptr{it->first}, m.size), want);
+    } else {
+      // read_cstr from a random offset: stops at the NUL, truncates at
+      // max_len, or faults at the first byte past the block.
+      auto it = pick();
+      const Model m = it->second;
+      const auto off = static_cast<nt::Word>(rng.uniform(0, m.size - 1));
+      const auto max_len = static_cast<nt::Word>(rng.uniform(0, 2100));
+      const nt::Ptr p{it->first + off};
+      const nt::Word stop = m.nul_at >= off ? m.nul_at : m.size;  // NUL ahead, or none
+      if (std::min(stop, off + max_len) < m.size || off + max_len <= m.size) {
+        const nt::Word len = std::min(stop, off + max_len) - off;
+        EXPECT_EQ(vm.read_cstr(p, max_len), std::string(len, m.fill));
+      } else {
+        try {
+          (void)vm.read_cstr(p, max_len);
+          ADD_FAILURE() << "read_cstr ran off a block without faulting";
+        } catch (const nt::AccessViolation& av) {
+          EXPECT_EQ(av.address(), it->first + m.size);
+        }
+      }
     }
     ASSERT_EQ(vm.bytes_in_use(), expected_bytes);
     ASSERT_EQ(vm.live_blocks(), live.size());

@@ -3,16 +3,24 @@
 
     python3 tools/sigprof/symbolize.py sigprof.<pid>.txt [--top N] [--callers M]
 
-Prints three tables, each as a share of all samples:
+Prints four tables, each as a share of all samples:
   self       the function executing when the sample was taken (leaf frame);
   inclusive  functions anywhere on the stack (counted once per sample);
   callers    for the M hottest self functions, the source lines that called
-             them (the frame just above the leaf).
+             them (the frame just above the leaf);
+  lib leaves samples whose leaf is in a shared library, billed to the first
+             frame whose function is defined under src/.
 Needs addr2line (binutils) and binaries built with debug info, such as the
-default RelWithDebInfo build. Frames in shared libraries are prefixed with
-the library name. A stripped library only resolves to its nearest exported
-symbol: libc's memcpy/memmove/memcmp variants, for instance, show up under
-unrelated neighbouring names such as `libc.so.6!__nss_database_lookup`.
+default RelWithDebInfo build. Each frame is named by its physical function,
+the outermost entry of `addr2line -i`: code inlined into a function is
+billed to that function, not to the inlined callee (nor, as the innermost
+name alone would suggest, to whoever called the function). Source lines
+stay the innermost ones, the most precise location. Frames in shared
+libraries are prefixed with the library name. A stripped library only
+resolves to its nearest exported symbol: libc's memcpy/memmove/memcmp and
+malloc variants, for instance, show up under unrelated neighbouring names
+such as `libc.so.6!__nss_database_lookup` or `__default_morecore`; the
+lib-leaves table says which of our functions those samples belong to.
 """
 
 import argparse
@@ -67,6 +75,12 @@ def locate(addr, maps, bases):
     return None
 
 
+# One symbolised stack frame: the physical function's name, the innermost
+# source line, the physical function's own line (`home`), and whether the
+# frame lies in a shared library.
+Frame = collections.namedtuple("Frame", "fn line home in_lib")
+
+
 def symbolise(samples, maps):
     # The load base of a file is the start of its mapping at file offset 0.
     bases = {}
@@ -88,19 +102,42 @@ def symbolise(samples, maps):
     names = {}
     for path, addrs in wanted.items():
         addrs = sorted(addrs)
-        cmd = ["addr2line", "-f", "-C", "-e", path] + [hex(a) for a in addrs]
-        out = subprocess.run(cmd, capture_output=True, text=True).stdout.splitlines()
-        for i, a in enumerate(addrs):
-            fn = out[2 * i] if 2 * i < len(out) else "??"
-            line = out[2 * i + 1] if 2 * i + 1 < len(out) else "??:0"
-            lib = os.path.basename(path)
+        lib = os.path.basename(path)
+        for a, chain in zip(addrs, addr2line_chains(path, addrs)):
+            # chain: (function, line) pairs, innermost inline first; the
+            # last entry is the physical function the address lies in.
+            fn, home = chain[-1]
             if fn == "??":
                 fn = f"{lib}+{a:#x}"
             elif ".so" in lib:
                 fn = f"{lib}!{fn}"
-            names[(path, a)] = (fn, line.split(" (discriminator")[0])
-    return [[names.get(loc, ("??", "??:0")) if loc else ("??", "??:0") for loc in row]
-            for row in keyed]
+            names[(path, a)] = Frame(fn, chain[0][1], home, ".so" in lib)
+    unknown = Frame("??", "??:0", "??:0", False)
+    return [[names.get(loc, unknown) if loc else unknown for loc in row] for row in keyed]
+
+
+def addr2line_chains(path, addrs):
+    """Runs `addr2line -a -i -f -C` and returns, per address, its inline chain
+    as (function, source line) pairs, innermost first."""
+    cmd = ["addr2line", "-a", "-i", "-f", "-C", "-e", path] + [hex(a) for a in addrs]
+    out = subprocess.run(cmd, capture_output=True, text=True).stdout.splitlines()
+    chains, i = [], 0
+    for _ in addrs:
+        # Each address starts with its own "0x..." line (from -a), followed by
+        # function/line pairs until the next address line.
+        if i < len(out) and out[i].startswith("0x"):
+            i += 1
+        chain = []
+        while i + 1 < len(out) and not out[i].startswith("0x"):
+            chain.append((out[i], out[i + 1].split(" (discriminator")[0]))
+            i += 2
+        chains.append(chain or [("??", "??:0")])
+    return chains
+
+
+def in_src(line):
+    """Whether a source location lies under a src/ directory."""
+    return "/src/" in line.split(":")[0]
 
 
 def short(fn, width=110):
@@ -123,13 +160,19 @@ def main():
     stacks = symbolise(samples, maps)
     total = len(stacks)
 
-    self_count = collections.Counter(s[0][0] for s in stacks if s)
+    self_count = collections.Counter(s[0].fn for s in stacks if s)
     incl_count = collections.Counter()
     callers = collections.defaultdict(collections.Counter)
+    lib_billed = collections.Counter()
+    lib_leaves = collections.defaultdict(collections.Counter)
     for s in stacks:
-        incl_count.update({fn for fn, _ in s})
+        incl_count.update({f.fn for f in s})
         if len(s) > 1:
-            callers[s[0][0]][s[1][1]] += 1
+            callers[s[0].fn][s[1].line] += 1
+        if s and s[0].in_lib:
+            owner = next((f.fn for f in s[1:] if in_src(f.home)), "(no src/ frame)")
+            lib_billed[owner] += 1
+            lib_leaves[owner][s[0].fn] += 1
 
     print(f"{total} samples")
     print("\n  self%  function")
@@ -143,6 +186,11 @@ def main():
         print(f"  {short(fn)}")
         for line, n in callers[fn].most_common(5):
             print(f"  {100.0 * n / total:7.2f}    {line}")
+    print("\n  lib%  shared-library leaves, billed to the first src/ frame")
+    for fn, n in lib_billed.most_common(args.top):
+        leaves = ", ".join(leaf for leaf, _ in lib_leaves[fn].most_common(3))
+        print(f"{100.0 * n / total:7.2f}  {short(fn)}")
+        print(f"           via {short(leaves, 100)}")
     return 0
 
 
