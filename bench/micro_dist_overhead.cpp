@@ -82,7 +82,7 @@ int main() {
     obs::MetricsRegistry metrics;
     dist::DistOptions d;
     d.spawn_workers = 1;
-    d.metrics = &metrics;
+    d.exec.metrics = &metrics;
     const auto d0 = std::chrono::steady_clock::now();
     dist::Coordinator coordinator(cfg, list, kSeed, d);
     const exec::CampaignResult distributed = coordinator.run();

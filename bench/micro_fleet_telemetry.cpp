@@ -75,7 +75,7 @@ DistSample run_distributed(const core::RunConfig& cfg, const inject::FaultList& 
   obs::MetricsRegistry metrics;
   dist::DistOptions d;
   d.spawn_workers = 1;
-  d.metrics = &metrics;
+  d.exec.metrics = &metrics;
   d.telemetry_ms = telemetry ? 50 : 0;
   const auto t0 = std::chrono::steady_clock::now();
   dist::Coordinator coordinator(cfg, list, kSeed, d);

@@ -97,9 +97,28 @@ std::set<nt::Fn> activated_from_plan(const plan::Plan& p) {
   return out;
 }
 
-exec::ExecOptions exec_options_from(const RunConfig& base,
-                                    const CampaignOptions& options,
-                                    const plan::GoldenProfile* profile = nullptr) {
+}  // namespace
+
+inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
+                                 const std::set<nt::Fn>* activated) {
+  // Capped lists sample evenly across the whole sweep rather than truncating:
+  // a prefix slice would cover only the catalogue's first functions and badly
+  // skew the outcome mix. The fault-model registry enumerates the sweep; the
+  // paper default is byte-identical to the classic for_functions/full_sweep.
+  inject::FaultList list =
+      fault::build_sweep(base.workload.target_image, model_set_from(options), activated,
+                         options.iterations)
+          .sampled(options.max_faults);
+  // Fault ids in topology campaigns carry the tier prefix ("db/ReadFile...")
+  // so journals, plans and dist leases name the faulted tier explicitly.
+  if (!base.topo.empty()) {
+    for (auto& f : list.faults) f.tier = base.topo.fault_tier;
+  }
+  return list;
+}
+
+exec::ExecOptions exec_options_from(const RunConfig& base, const CampaignOptions& options,
+                                    const plan::GoldenProfile* profile) {
   exec::ExecOptions eo;
   // Journal v4 headers embed the serialized campaign configuration, so
   // `ntdts replay <journal> <xi>` reconstructs the exact run without the
@@ -128,8 +147,6 @@ exec::ExecOptions exec_options_from(const RunConfig& base,
   return eo;
 }
 
-}  // namespace
-
 plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& options) {
   if (options.plan.mode == plan::PlanOptions::Mode::kFromFile) {
     std::ifstream in(options.plan.plan_file);
@@ -152,15 +169,7 @@ plan::Plan build_campaign_plan(const RunConfig& base, const CampaignOptions& opt
   }
   // The plan covers the *raw* sweep, so functions the golden run never
   // touched are logged as pruned rather than silently absent from the file.
-  // The model registry enumerates it (byte-identical to the classic
-  // full_sweep for the paper default).
-  inject::FaultList sweep =
-      fault::build_sweep(base.workload.target_image, model_set_from(options),
-                         /*functions=*/nullptr, options.iterations)
-          .sampled(options.max_faults);
-  if (!base.topo.empty()) {
-    for (auto& f : sweep.faults) f.tier = base.topo.fault_tier;
-  }
+  const inject::FaultList sweep = campaign_sweep(base, options, /*activated=*/nullptr);
   const plan::GoldenProfile profile =
       plan::golden_profile(base, options.seed, options.iterations);
   return plan::build_plan(base, sweep, profile, options.seed, options.iterations);
@@ -235,20 +244,8 @@ WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions&
     result.activated_functions = profile_workload(base, options.seed);
   }
 
-  // Capped lists sample evenly across the whole sweep rather than truncating:
-  // a prefix slice would cover only the catalogue's first functions and badly
-  // skew the outcome mix. The fault-model registry enumerates the sweep; the
-  // paper default is byte-identical to the classic for_functions/full_sweep.
-  inject::FaultList list =
-      fault::build_sweep(base.workload.target_image, model_set_from(options),
-                         options.profile_first ? &result.activated_functions : nullptr,
-                         options.iterations)
-          .sampled(options.max_faults);
-  // Fault ids in topology campaigns carry the tier prefix ("db/ReadFile...")
-  // so journals, plans and dist leases name the faulted tier explicitly.
-  if (!base.topo.empty()) {
-    for (auto& f : list.faults) f.tier = base.topo.fault_tier;
-  }
+  const inject::FaultList list = campaign_sweep(
+      base, options, options.profile_first ? &result.activated_functions : nullptr);
 
   // The executor applies the skip-uncalled rule (paper §4): once a function
   // proves uncalled, the rest of its faults are skipped. With profiling this
@@ -279,23 +276,10 @@ std::optional<mw::MiddlewareKind> mw_from_code(std::string_view s) {
   return std::nullopt;
 }
 
-std::string_view outcome_code(Outcome o) {
-  switch (o) {
-    case Outcome::kNormalSuccess: return "normal";
-    case Outcome::kRestartSuccess: return "restart";
-    case Outcome::kRestartRetrySuccess: return "restart_retry";
-    case Outcome::kRetrySuccess: return "retry";
-    case Outcome::kFailure: return "failure";
-  }
-  return "?";
-}
-
 std::optional<Outcome> outcome_from(std::string_view s) {
-  if (s == "normal") return Outcome::kNormalSuccess;
-  if (s == "restart") return Outcome::kRestartSuccess;
-  if (s == "restart_retry") return Outcome::kRestartRetrySuccess;
-  if (s == "retry") return Outcome::kRetrySuccess;
-  if (s == "failure") return Outcome::kFailure;
+  for (Outcome o : kAllOutcomes) {
+    if (exec::outcome_label(o) == s) return o;
+  }
   return std::nullopt;
 }
 
@@ -303,7 +287,7 @@ std::optional<Outcome> outcome_from(std::string_view s) {
 
 std::string serialize_run_line(const RunResult& r) {
   std::ostringstream out;
-  out << r.fault.id() << ' ' << (r.activated ? 1 : 0) << ' ' << outcome_code(r.outcome)
+  out << r.fault.id() << ' ' << (r.activated ? 1 : 0) << ' ' << exec::outcome_label(r.outcome)
       << ' ' << (r.response_received ? 1 : 0) << ' ' << r.response_time.count_micros()
       << ' ' << r.restarts << ' ' << r.retries << ' ' << (r.client_finished ? 1 : 0);
   // Topology extras ride after the classic eight fields; pre-topology parsers

@@ -23,6 +23,14 @@ class StallDetector;
 class StatusBoard;
 }  // namespace dts::obs::fleet
 
+namespace dts::exec {
+struct ExecOptions;
+}  // namespace dts::exec
+
+namespace dts::plan {
+struct GoldenProfile;
+}  // namespace dts::plan
+
 namespace dts::core {
 
 /// Summary of the campaign plan a workload set ran under (absent for
@@ -134,6 +142,23 @@ struct CampaignOptions {
   /// are different campaigns.
   std::string models;
 };
+
+/// The campaign's fault sweep: the model registry's enumeration over
+/// `activated` (null = every injectable function, the raw sweep a plan
+/// covers), sampled evenly down to options.max_faults, with every fault
+/// stamped with the topology's faulted tier. Throws std::runtime_error on an
+/// unknown model name.
+inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& options,
+                                 const std::set<nt::Fn>* activated);
+
+/// Executor options for a campaign: jobs, journal, resume, observability
+/// sinks and progress from `options`, and the serialized campaign config
+/// (core::serialize_config) the journal header embeds for `ntdts replay`.
+/// Snapshot execution is on only when options.snapshots and `profile` (which
+/// must outlive the executor) are both set. Shared by every execution mode,
+/// so in-process and distributed journals carry the same header.
+exec::ExecOptions exec_options_from(const RunConfig& base, const CampaignOptions& options,
+                                    const plan::GoldenProfile* profile = nullptr);
 
 /// Runs a complete workload set and returns its results.
 WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions& options = {});

@@ -5,13 +5,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <iostream>
-
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -22,12 +19,8 @@
 #include "dist/protocol.h"
 #include "dist/socket.h"
 #include "dist/wire.h"
-#include "exec/journal.h"
-#include "fault/model.h"
-#include "forensics/signature.h"
+#include "exec/recorder.h"
 #include "obs/fleet/events.h"
-#include "obs/fleet/span.h"
-#include "obs/fleet/stall.h"
 #include "obs/fleet/status.h"
 #include "obs/fleet/telemetry.h"
 #include "plan/plan.h"
@@ -42,32 +35,6 @@ int ms_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<int>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from).count());
 }
-
-// fn -> lowest fault index whose executed run proved the function uncalled;
-// the same induction the in-process executor uses (a lease may elide fault i
-// only given a proof at index j < i), single-threaded here.
-class Proofs {
- public:
-  void record(nt::Fn fn, std::size_t index) {
-    auto [it, inserted] = proofs_.emplace(fn, index);
-    if (!inserted && index < it->second) it->second = index;
-  }
-  bool proven_before(nt::Fn fn, std::size_t index) const {
-    auto it = proofs_.find(fn);
-    return it != proofs_.end() && it->second < index;
-  }
-
- private:
-  std::map<nt::Fn, std::size_t> proofs_;
-};
-
-enum class SlotState : std::uint8_t { kPending, kExecuted, kElided };
-
-struct Slot {
-  core::RunResult result;
-  bool fn_called = false;
-  SlotState state = SlotState::kPending;
-};
 
 struct ActiveLease {
   std::uint64_t id = 0;
@@ -103,21 +70,16 @@ struct Coordinator::Impl {
   Listener listener;
   std::uint64_t digest = 0;
   std::string welcome_line;  // identical for every worker; rendered once
-  std::string welcome_config;  // serialize_config text, journal v4 header
 
-  std::vector<Slot> slots;
-  std::vector<std::string> fault_ids;  // pre-rendered, reused everywhere
-  std::deque<std::size_t> pending;     // ascending fault indices awaiting a lease
-  Proofs proofs;
-  exec::RunJournal journal;
-  std::unique_ptr<exec::ProgressTracker> tracker;
+  // Journal, resume, results, skip-rule proofs, status, stall and progress:
+  // the in-process executor's record path, fed from streamed results.
+  std::unique_ptr<exec::RunRecorder> recorder;
+  std::deque<std::size_t> pending;  // ascending fault indices awaiting a lease
 
   std::vector<std::unique_ptr<Conn>> conns;
   std::uint64_t next_lease_id = 0;
   int next_worker_id = 0;
   std::size_t outstanding_total = 0;  // leased indices with no result yet
-  std::size_t executed_fresh = 0;
-  std::size_t reused = 0;
 
   std::vector<pid_t> children;  // spawned local workers not yet reaped
   int respawns_left = 0;
@@ -142,24 +104,8 @@ struct Coordinator::Impl {
     }
   }
 
-  void progress(bool fresh) {
-    const exec::ProgressSnapshot s = tracker->completed(fresh);
-    if (options.on_progress) options.on_progress(s);
-    if (options.status != nullptr) {
-      obs::fleet::CampaignStatus cs;
-      cs.done = s.done;
-      cs.total = s.total;
-      cs.executed = s.executed;
-      cs.reused = s.reused;
-      cs.elapsed_s = s.elapsed_s;
-      cs.runs_per_sec = s.runs_per_sec;
-      cs.eta_s = s.eta_s;
-      options.status->update_campaign(cs);
-    }
-  }
-
   void update_status_workers(Clock::time_point now) {
-    if (options.status == nullptr) return;
+    if (options.exec.status == nullptr) return;
     std::vector<obs::fleet::WorkerRow> rows;
     rows.reserve(conns.size());
     for (const auto& c : conns) {
@@ -175,7 +121,7 @@ struct Coordinator::Impl {
       row.recent_failures = c->recent_failures;
       rows.push_back(std::move(row));
     }
-    options.status->update_workers(std::move(rows));
+    options.exec.status->update_workers(std::move(rows));
   }
 
   void update_live() {
@@ -195,9 +141,9 @@ struct Coordinator::Impl {
   }
 
   void finish_worker_rate(const Conn& c, Clock::time_point now) {
-    if (options.metrics == nullptr) return;
+    if (options.exec.metrics == nullptr) return;
     const double secs = ms_between(c.first_seen, now) / 1e3;
-    options.metrics
+    options.exec.metrics
         ->gauge("dts_dist_worker_runs_per_sec",
                 {{"worker", std::to_string(c.worker_id)}},
                 "observed fresh-run throughput per distributed worker")
@@ -235,20 +181,19 @@ struct Coordinator::Impl {
     if (c.state != Conn::State::kIdle || pending.empty()) return;
     const std::size_t shard = options.lease_size > 0
                                   ? options.lease_size
-                                  : std::clamp<std::size_t>(slots.size() / 16, 1, 64);
+                                  : std::clamp<std::size_t>(list.faults.size() / 16, 1, 64);
     Lease lease;
     lease.digest = digest;
     ActiveLease active;
     while (!pending.empty() && lease.indices.size() < shard) {
       const std::size_t i = pending.front();
       pending.pop_front();
-      if (options.skip_uncalled && proofs.proven_before(list.faults[i].fn, i)) {
-        slots[i].state = SlotState::kElided;
-        progress(/*fresh=*/false);
+      if (options.exec.skip_uncalled && recorder->proven_uncalled_before(i)) {
+        recorder->progress(/*fresh=*/false);
         continue;
       }
       lease.indices.push_back(i);
-      lease.fault_ids.push_back(fault_ids[i]);
+      lease.fault_ids.push_back(list.faults[i].id());
       active.outstanding.insert(i);
     }
     if (lease.indices.empty()) return;  // everything up front elided
@@ -266,92 +211,46 @@ struct Coordinator::Impl {
 
   void record_result(Conn& c, const WireResult& r) {
     if (!c.lease || r.lease_id != c.lease->id) return;  // stale, ignore
-    if (r.index >= slots.size() || fault_ids[r.index] != r.fault_id) {
+    if (r.index >= list.faults.size() || list.faults[r.index].id() != r.fault_id) {
       c.dead = true;
       return;
     }
     if (c.lease->outstanding.erase(r.index) == 0) return;  // duplicate
     --outstanding_total;
     ++c.runs;
-    if (options.metrics != nullptr) {
-      options.metrics
+    if (options.exec.metrics != nullptr) {
+      options.exec.metrics
           ->counter("dts_dist_worker_runs_total",
                     {{"worker", std::to_string(c.worker_id)}},
                     "fresh runs streamed back per distributed worker")
           .inc();
     }
+    if (recorder->has_result(r.index)) return;  // at-most-once: first wins
 
-    Slot& slot = slots[r.index];
-    if (slot.state != SlotState::kPending) return;  // at-most-once: first wins
-    if (!core::parse_run_line(base.workload.target_image, r.run_line, &slot.result,
+    // The run line round-trips the journal fields; the wire additionally
+    // carries what results.csv renders but the journal elides, and the
+    // request trace the recorder journals and signs.
+    exec::ExecutedRun run;
+    if (!core::parse_run_line(base.workload.target_image, r.run_line, &run.result,
                               nullptr)) {
       c.dead = true;
       return;
     }
-    // The run line round-trips the journal fields; the wire additionally
-    // carries what results.csv renders but the journal elides.
-    slot.result.detail = r.detail;
-    slot.result.requests = decode_requests(r.requests);
-    slot.result.sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(r.sim_us));
-    slot.fn_called = r.fn_called;
-    slot.state = SlotState::kExecuted;
-    if (!slot.result.activated && !slot.fn_called) {
-      proofs.record(list.faults[r.index].fn, r.index);
-    }
-    ++executed_fresh;
-
-    // The run's causal name: which campaign, which lease, which fault — the
-    // same identifier the worker's journal-v3 twin record would carry.
-    const std::string exec_index =
-        obs::fleet::ExecutionIndex{digest, r.lease_id, r.index}.to_string();
-
-    if (journal.is_open()) {
-      exec::JournalRecord rec;
-      rec.index = r.index;
-      rec.fault_id = r.fault_id;
-      rec.fn_called = r.fn_called;
-      rec.run_line = r.run_line;
-      rec.wall_us = r.wall_us;
-      rec.sim_us = r.sim_us;
-      rec.exec_index = exec_index;
-      rec.trace_digest = r.trace_digest;
-      rec.call_context = r.call_context;
-      rec.model = fault::model_annotation(list.faults[r.index]);
-      journal.append(rec);
-    }
-
-    if (options.stall != nullptr) {
-      options.stall->observe(
-          plan::StratumKey{list.faults[r.index].fn, list.faults[r.index].type},
-          static_cast<double>(r.wall_us) / 1e6, r.fault_id, exec_index);
-    }
-    if (options.status != nullptr) {
-      obs::fleet::RunEntry entry;
-      entry.index = r.index;
-      entry.fault_id = r.fault_id;
-      entry.outcome = std::string(exec::outcome_label(slot.result.outcome));
-      entry.wall_us = r.wall_us;
-      entry.worker_id = c.worker_id;
-      entry.lease_id = r.lease_id;
-      entry.exec_index = exec_index;
-      options.status->record_run(std::move(entry));
-      const forensics::SignatureKey sig_key =
-          forensics::signature_of(slot.result, r.call_context);
-      obs::fleet::SignatureEntry sig;
-      sig.id = forensics::signature_id(sig_key);
-      sig.fault_class = sig_key.fault_class;
-      sig.call_context = sig_key.call_context;
-      sig.outcome = sig_key.outcome;
-      sig.span = sig_key.span;
-      sig.example_fault = r.fault_id;
-      sig.example_xi = exec_index;
-      options.status->record_signature(sig);
-      if (slot.result.topo) {
-        options.status->record_topology(slot.result.topo->tier,
-                                        slot.result.topo->user_outcome);
+    run.result.detail = r.detail;
+    run.result.requests = decode_requests(r.requests);
+    run.result.sim_elapsed = sim::Duration::micros(static_cast<std::int64_t>(r.sim_us));
+    if (!r.rtrace.empty()) {
+      run.result.rtrace = obs::rtrace::RunTrace::parse(r.rtrace);
+      if (!run.result.rtrace) {
+        c.dead = true;
+        return;
       }
     }
-    progress(/*fresh=*/true);
+    run.fn_called = r.fn_called;
+    run.wall_us = r.wall_us;
+    run.trace_digest = r.trace_digest;
+    run.call_context = r.call_context;
+    recorder->record(recorder->identity(r.index, r.lease_id, c.worker_id), std::move(run));
   }
 
   void record_telemetry(Conn& c, const std::string& line) {
@@ -368,8 +267,8 @@ struct Coordinator::Impl {
     c.telemetry_seq = t->seq;
     c.failures = t->failures;
     c.recent_failures = t->recent_failures;
-    if (options.metrics != nullptr) {
-      obs::fleet::merge_samples(*options.metrics, c.worker_id,
+    if (options.exec.metrics != nullptr) {
+      obs::fleet::merge_samples(*options.exec.metrics, c.worker_id,
                                 obs::fleet::decode_samples(t->metrics));
     }
     if (telemetry_frames != nullptr) telemetry_frames->inc();
@@ -438,15 +337,19 @@ struct Coordinator::Impl {
     }
   }
 
-  void pump_conn(Conn& c) {
+  /// Reads what `c` sent within `timeout_ms` and hands each complete frame
+  /// to `on_frame` while the conn lives; EOF, read errors and malformed
+  /// frames mark it dead.
+  template <typename OnFrame>
+  void read_frames(Conn& c, int timeout_ms, OnFrame&& on_frame) {
     std::string chunk;
-    switch (recv_some(c.sock.fd(), &chunk, 64 * 1024, /*timeout_ms=*/0)) {
+    switch (recv_some(c.sock.fd(), &chunk, 64 * 1024, timeout_ms)) {
       case RecvStatus::kData:
         if (bytes_received != nullptr) bytes_received->inc(chunk.size());
         c.decoder.feed(chunk);
         break;
       case RecvStatus::kTimeout:
-        return;  // spurious wakeup
+        return;  // spurious wakeup, or a quiet peer
       case RecvStatus::kClosed:
       case RecvStatus::kError:
         c.dead = true;
@@ -455,7 +358,7 @@ struct Coordinator::Impl {
     while (!c.dead) {
       const auto frame = c.decoder.next();
       if (!frame) break;
-      handle(c, *frame);
+      on_frame(*frame);
     }
     if (!c.decoder.error().empty()) c.dead = true;
   }
@@ -551,7 +454,10 @@ struct Coordinator::Impl {
         // conns may grow via accept below; iterate the polled prefix only.
         for (std::size_t k = 1; k < fds.size(); ++k) {
           Conn& c = *conns[k - 1];
-          if (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) pump_conn(c);
+          if (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) {
+            read_frames(c, /*timeout_ms=*/0,
+                        [&](const std::string& frame) { handle(c, frame); });
+          }
         }
         if (fds[0].revents & POLLIN) accept_new(now);
       }
@@ -579,28 +485,10 @@ struct Coordinator::Impl {
       for (auto& c : conns) {
         if (c->dead) continue;
         ++open;
-        std::string chunk;
-        switch (recv_some(c->sock.fd(), &chunk, 64 * 1024, /*timeout_ms=*/10)) {
-          case RecvStatus::kData:
-            if (bytes_received != nullptr) bytes_received->inc(chunk.size());
-            c->decoder.feed(chunk);
-            break;
-          case RecvStatus::kTimeout:
-            break;
-          case RecvStatus::kClosed:
-          case RecvStatus::kError:
-            c->dead = true;
-            break;
-        }
-        for (;;) {
-          const auto frame = c->decoder.next();
-          if (!frame) break;
-          if (message_type(*frame) == MsgType::kTelemetry) {
-            record_telemetry(*c, *frame);
-          }
-          // READY/heartbeat frames racing the DONE are expected; drop them.
-        }
-        if (!c->decoder.error().empty()) c->dead = true;
+        // READY/heartbeat frames racing the DONE are expected; drop them.
+        read_frames(*c, /*timeout_ms=*/10, [&](const std::string& frame) {
+          if (message_type(frame) == MsgType::kTelemetry) record_telemetry(*c, frame);
+        });
       }
       if (open == 0 || Clock::now() >= deadline) return;
     }
@@ -631,7 +519,7 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
   impl_->options = std::move(options);
   // No registry means nowhere to merge worker snapshots into — don't ask
   // workers to ship any.
-  if (impl_->options.metrics == nullptr) impl_->options.telemetry_ms = 0;
+  if (impl_->options.exec.metrics == nullptr) impl_->options.telemetry_ms = 0;
 
   std::string error;
   impl_->listener =
@@ -642,12 +530,20 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
   }
 
   impl_->digest = plan::sweep_digest(impl_->list);
-  impl_->fault_ids.reserve(impl_->list.faults.size());
-  for (const auto& f : impl_->list.faults) impl_->fault_ids.push_back(f.id());
-
-  core::DtsConfig shipped;
-  shipped.run = impl_->base;
-  shipped.campaign.seed = seed;
+  // The shipped config doubles as the journal header's: campaigns built by
+  // run_workload_set_distributed carry exec_options_from's full config, the
+  // same text the in-process path embeds.
+  if (impl_->options.exec.config_text.empty()) {
+    core::DtsConfig shipped;
+    shipped.run = impl_->base;
+    shipped.campaign.seed = seed;
+    impl_->options.exec.config_text = core::serialize_config(shipped);
+  }
+  // Per-run metric series come from the workers' telemetry, so the
+  // coordinator's recorder leaves them alone.
+  impl_->recorder = std::make_unique<exec::RunRecorder>(
+      impl_->base, impl_->options.exec, impl_->list, seed, impl_->digest,
+      exec::RecorderOptions{.run_metrics = false});
   Welcome welcome;
   welcome.workload = impl_->base.workload.name;
   welcome.middleware = static_cast<int>(impl_->base.middleware);
@@ -656,12 +552,11 @@ Coordinator::Coordinator(core::RunConfig base, inject::FaultList list,
   welcome.fault_count = impl_->list.faults.size();
   welcome.digest = impl_->digest;
   welcome.telemetry_ms = impl_->options.telemetry_ms;
-  welcome.config = core::serialize_config(shipped);
+  welcome.config = impl_->options.exec.config_text;
   impl_->welcome_line = encode_welcome(welcome);
-  impl_->welcome_config = welcome.config;
 
-  if (impl_->options.metrics != nullptr) {
-    obs::MetricsRegistry& m = *impl_->options.metrics;
+  if (impl_->options.exec.metrics != nullptr) {
+    obs::MetricsRegistry& m = *impl_->options.exec.metrics;
     impl_->workers_live =
         &m.gauge("dts_dist_workers_live", {}, "connected distributed workers");
     impl_->leases_issued =
@@ -697,76 +592,15 @@ std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
 exec::CampaignResult Coordinator::run() {
   Impl& im = *impl_;
   const std::size_t n = im.list.faults.size();
-  im.slots.assign(n, Slot{});
-
-  exec::JournalKey key;
-  key.workload = im.base.workload.name;
-  key.middleware = static_cast<int>(im.base.middleware);
-  key.watchd_version = static_cast<int>(im.base.watchd_version);
-  key.seed = im.seed;
-  key.fault_count = n;
-
-  if (!im.options.journal_path.empty() && im.options.resume) {
-    std::string error;
-    auto records = exec::read_journal(im.options.journal_path, key, &error);
-    if (!records) throw std::runtime_error(error);
-    std::size_t foreign = 0;
-    for (const auto& rec : *records) {
-      if (rec.index >= n) continue;
-      if (im.fault_ids[rec.index] != rec.fault_id) continue;
-      if (!rec.exec_index.empty()) {
-        const auto ei = obs::fleet::ExecutionIndex::parse(rec.exec_index);
-        if (ei && ei->campaign_digest != im.digest) {
-          // A foreign campaign digest: merging the record would silently mix
-          // another campaign's results into this one.
-          ++foreign;
-          continue;
-        }
-      }
-      Slot& slot = im.slots[rec.index];
-      if (slot.state != SlotState::kPending) continue;  // duplicate record
-      if (!core::parse_run_line(im.base.workload.target_image, rec.run_line,
-                                &slot.result, nullptr)) {
-        continue;
-      }
-      slot.fn_called = rec.fn_called;
-      slot.state = SlotState::kExecuted;
-      if (!slot.result.activated && !slot.fn_called) {
-        im.proofs.record(im.list.faults[rec.index].fn, rec.index);
-      }
-      ++im.reused;
-    }
-    if (foreign > 0) {
-      std::cerr << "warning: " << im.options.journal_path << ": skipped "
-                << foreign
-                << " journal record(s) whose execution index names a foreign "
-                   "campaign digest\n";
-      if (im.options.metrics != nullptr) {
-        im.options.metrics
-            ->counter("dts_report_foreign_records_total", {},
-                      "journal records skipped for carrying a foreign campaign "
-                      "digest in their execution index")
-            .inc(foreign);
-      }
-    }
-  }
-
-  if (!im.options.journal_path.empty()) {
-    std::string error;
-    if (!im.journal.open(im.options.journal_path, key, im.options.resume, &error,
-                         im.welcome_config, im.base.topo.empty() ? 5 : 6)) {
-      throw std::runtime_error(error);
-    }
-  }
-
+  const std::size_t reused = im.recorder->open();
+  im.recorder->start_progress(n, reused);
   for (std::size_t i = 0; i < n; ++i) {
-    if (im.slots[i].state == SlotState::kPending) im.pending.push_back(i);
+    if (!im.recorder->has_result(i)) im.pending.push_back(i);
   }
-  im.tracker = std::make_unique<exec::ProgressTracker>(n, im.reused);
 
   if (im.pending.empty()) {
     // Fully resumed (or an empty sweep): nothing to distribute.
-    if (im.options.on_progress) im.options.on_progress(im.tracker->snapshot());
+    im.recorder->announce_progress();
   } else {
     im.respawns_left = im.options.spawn_workers;
     for (int w = 0; w < im.options.spawn_workers; ++w) im.spawn_one();
@@ -776,16 +610,11 @@ exec::CampaignResult Coordinator::run() {
 
   // Same merge as the in-process executor: replay the skip rule serially so
   // the distributed output is byte-identical to --jobs=1.
-  std::vector<exec::CompletedRun> completed(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    completed[i].result = std::move(im.slots[i].result);
-    completed[i].fn_called = im.slots[i].fn_called;
-    completed[i].executed = im.slots[i].state == SlotState::kExecuted;
-  }
-  exec::CampaignResult out = exec::merge_completed_runs(
-      im.base, im.list, im.seed, im.options.skip_uncalled, std::move(completed));
-  out.executed += im.executed_fresh;
-  out.reused = im.reused;
+  exec::CampaignResult out =
+      exec::merge_completed_runs(im.base, im.list, im.seed, im.options.exec.skip_uncalled,
+                                 im.recorder->take_slots());
+  out.executed += im.recorder->progress_snapshot().executed;
+  out.reused = reused;
   return out;
 }
 
@@ -804,40 +633,20 @@ core::WorkloadSetResult run_workload_set_distributed(
   result.base_config = base;
   result.activated_functions = core::profile_workload(base, options.seed);
 
+  // Journal, resume, metrics, stall, status and progress flow from `options`
+  // through the same function the in-process path uses, so the journal header
+  // embeds the same campaign config.
+  dist.exec = core::exec_options_from(base, options);
   inject::FaultList list;
   if (explicit_faults) {
     list = *explicit_faults;
     // Explicit lists execute in full, as in-process campaigns do.
-    dist.skip_uncalled = false;
+    dist.exec.skip_uncalled = false;
   } else {
-    // The model registry enumerates the sweep exactly like the in-process
-    // path, so a distributed campaign's merged output stays byte-identical
-    // to --jobs=1 under any model set.
-    std::string model_error;
-    const auto models = fault::ModelSet::parse(options.models, &model_error);
-    if (!models) throw std::runtime_error(model_error);
-    list = fault::build_sweep(base.workload.target_image, *models,
-                              options.profile_first ? &result.activated_functions : nullptr,
-                              options.iterations)
-               .sampled(options.max_faults);
-    // Same tier stamping as run_workload_set: lease fault ids carry the
-    // topology tier prefix, so worker-side parsing, per-run seeds and run
-    // lines stay byte-identical to the in-process path.
-    if (!base.topo.empty()) {
-      for (auto& f : list.faults) f.tier = base.topo.fault_tier;
-    }
-  }
-
-  dist.journal_path = options.journal_path;
-  dist.resume = options.resume;
-  dist.metrics = options.metrics;
-  if (dist.stall == nullptr) dist.stall = options.stall;
-  if (dist.status == nullptr) dist.status = options.status;
-  if (options.on_snapshot || options.on_progress) {
-    dist.on_progress = [&options](const exec::ProgressSnapshot& s) {
-      if (options.on_snapshot) options.on_snapshot(s);
-      if (options.on_progress) options.on_progress(s.done, s.total);
-    };
+    // The same sweep run_workload_set builds, so lease fault ids, per-run
+    // seeds and run lines stay byte-identical to the in-process path.
+    list = core::campaign_sweep(
+        base, options, options.profile_first ? &result.activated_functions : nullptr);
   }
 
   const auto on_listen = dist.on_listen;

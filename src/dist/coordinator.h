@@ -6,11 +6,12 @@
 // contiguous shards of the remaining sweep to connected workers, tracks
 // per-worker liveness via streamed results and heartbeats, expires leases
 // whose worker went silent, and returns the unfinished remainder of a lost
-// lease to the queue for reassignment. Completed runs are journalled exactly
-// as the in-process executor journals them (same key, same record schema),
-// so a distributed journal resumes an in-process campaign and vice versa;
-// at-most-once output is enforced the same way — the first record for a
-// fault index wins, later duplicates are dropped.
+// lease to the queue for reassignment. Completed runs are recorded through
+// the in-process executor's exec::RunRecorder (same key, same record, same
+// journal version), so a distributed journal equals an in-process one up to
+// wall times and lease ids, and each resumes the other; at-most-once output
+// is enforced the same way — the first record for a fault index wins, later
+// duplicates are dropped.
 //
 // Output is merged through exec::merge_completed_runs, the same serial
 // replay of the paper-§4 skip-uncalled rule the in-process executor uses, so
@@ -29,9 +30,7 @@
 
 #include "core/campaign.h"
 #include "exec/executor.h"
-#include "exec/progress.h"
 #include "inject/fault_list.h"
-#include "obs/metrics.h"
 #include "dist/worker.h"
 
 namespace dts::obs::fleet {
@@ -62,19 +61,15 @@ struct DistOptions {
   /// Per-message write deadline towards a worker.
   int io_timeout_ms = 10000;
 
-  /// Apply the paper-§4 skip-uncalled rule (campaign sweeps). Off for
-  /// explicit user-supplied fault lists, as in the in-process executor.
-  bool skip_uncalled = true;
-
-  /// Run journal (same format and key as exec::RunJournal — distributed and
-  /// in-process campaigns resume each other's journals). Empty = none.
-  std::string journal_path;
-  bool resume = false;
-
-  /// dts_dist_* counters and gauges land here; with telemetry enabled,
-  /// worker-shipped metrics are merged here too (worker="<id>" labels).
-  /// Null = no metrics.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// What the campaign records and how, exactly as for the in-process
+  /// executor: skip_uncalled, journal_path/resume/config_text (same journal
+  /// format and key — distributed and in-process campaigns resume each
+  /// other's journals), the status board and stall detector (must outlive
+  /// run()) and on_progress. `metrics` receives the dts_dist_* series and,
+  /// with telemetry on, the workers' merged per-run series (worker="<id>"
+  /// labels). A non-empty config_text is also the config shipped to workers.
+  /// Execution knobs (jobs, trace, snapshots) are the workers' business.
+  exec::ExecOptions exec;
 
   /// Telemetry cadence advertised to workers in WELCOME, in milliseconds.
   /// 0 disables telemetry shipping; forced to 0 when metrics is null (there
@@ -84,16 +79,6 @@ struct DistOptions {
   /// Structured fleet event log: worker connect/disconnect, lease issue/
   /// expiry/reassignment. Must outlive run(). Null = off.
   obs::fleet::FleetEventLog* events = nullptr;
-
-  /// Live status board for the HTTP endpoint (/status, /runs). Must outlive
-  /// run(). Null = off.
-  obs::fleet::StatusBoard* status = nullptr;
-
-  /// Stall detector fed every streamed result's wall time. Must outlive
-  /// run(). Null = off.
-  obs::fleet::StallDetector* stall = nullptr;
-
-  std::function<void(const exec::ProgressSnapshot&)> on_progress;
 
   /// Fired by run_workload_set_distributed once the listener is bound, with
   /// the actual port — lets the CLI print a connect line before blocking.
@@ -138,7 +123,8 @@ pid_t spawn_worker_process(const WorkerOptions& options, int close_fd);
 /// Distributed twin of core::run_workload_set's exhaustive path: profiles,
 /// builds the fault list (or takes the explicit one — executed without the
 /// skip-uncalled rule, as in-process), then runs it through a Coordinator.
-/// Journal, resume, metrics and progress flow from `options` as usual.
+/// `dist.exec` is replaced by core::exec_options_from(base, options), so
+/// journal, resume, metrics and progress flow from `options` as usual.
 core::WorkloadSetResult run_workload_set_distributed(
     const core::RunConfig& base, const core::CampaignOptions& options,
     DistOptions dist,

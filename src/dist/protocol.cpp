@@ -144,7 +144,7 @@ std::string encode_result(const WireResult& m) {
       << json_escape(m.run_line) << "\",\"wall_us\":" << m.wall_us
       << ",\"sim_us\":" << m.sim_us << ",\"req\":\"" << json_escape(m.requests)
       << "\",\"detail\":\"" << json_escape(m.detail) << "\"";
-  // v4 forensics fields, omitted when empty (see WireResult).
+  // Optional fields, omitted when empty (see WireResult).
   if (m.trace_digest != 0) {
     char td[24];
     std::snprintf(td, sizeof td, "%016llx",
@@ -154,6 +154,7 @@ std::string encode_result(const WireResult& m) {
   if (!m.call_context.empty()) {
     out << ",\"cc\":\"" << json_escape(m.call_context) << "\"";
   }
+  if (!m.rtrace.empty()) out << ",\"rt\":\"" << json_escape(m.rtrace) << "\"";
   out << "}";
   return out.str();
 }
@@ -179,6 +180,7 @@ std::optional<WireResult> decode_result(const std::string& line) {
     m.trace_digest = std::strtoull(td.c_str(), nullptr, 16);
   }
   (void)json_string_field(line, "cc", &m.call_context);
+  (void)json_string_field(line, "rt", &m.rtrace);
   return m;
 }
 
@@ -213,13 +215,6 @@ std::string encode_heartbeat(const Heartbeat& m) {
   std::ostringstream out;
   out << type_field("heartbeat") << ",\"lease\":" << m.lease_id << "}";
   return out.str();
-}
-
-std::optional<Heartbeat> decode_heartbeat(const std::string& line) {
-  Heartbeat m;
-  if (message_type(line) != MsgType::kHeartbeat) return std::nullopt;
-  if (!json_uint_field(line, "lease", &m.lease_id)) return std::nullopt;
-  return m;
 }
 
 std::string encode_telemetry(const Telemetry& m) {

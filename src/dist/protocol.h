@@ -41,8 +41,10 @@
 namespace dts::dist {
 
 /// Protocol revision; bumped on any incompatible message change. v2 adds
-/// the TELEMETRY message and Welcome.telemetry_ms.
-constexpr std::uint64_t kProtocolVersion = 2;
+/// the TELEMETRY message and Welcome.telemetry_ms; v3 adds WireResult.rtrace,
+/// without which a coordinator cannot journal a traced run — the hello check
+/// turns a v2 worker away.
+constexpr std::uint64_t kProtocolVersion = 3;
 
 enum class MsgType {
   kHello,
@@ -112,8 +114,9 @@ std::optional<Lease> decode_lease(const std::string& line);
 /// and detail string that the journal elides but results.csv renders — so a
 /// distributed campaign's outputs are byte-identical to an in-process run's.
 /// The journal-v4 forensics fields (trace digest, corrupted-call context)
-/// travel as optional fields: a v2 peer that never sends them decodes fine
-/// and its records simply lack them, exactly like a pre-v4 journal.
+/// travel as optional fields, omitted when empty, as does the serialized
+/// request trace (v3): everything exec::RunRecorder needs to journal the run
+/// exactly as the in-process executor does.
 struct WireResult {
   std::uint64_t lease_id = 0;
   std::uint64_t index = 0;
@@ -126,6 +129,7 @@ struct WireResult {
   std::string detail;
   std::uint64_t trace_digest = 0;  // interceptor trajectory fingerprint
   std::string call_context;        // corrupted-call context ("" = not fired)
+  std::string rtrace;              // RunTrace::serialize ("" = untraced run)
 };
 std::string encode_result(const WireResult& m);
 std::optional<WireResult> decode_result(const std::string& line);
@@ -139,7 +143,6 @@ struct Heartbeat {
   std::uint64_t lease_id = 0;
 };
 std::string encode_heartbeat(const Heartbeat& m);
-std::optional<Heartbeat> decode_heartbeat(const std::string& line);
 
 /// Periodic worker -> coordinator metric snapshot. `metrics` is the TSV
 /// encoding of the worker's whole registry (obs/fleet/telemetry.h) —

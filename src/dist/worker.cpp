@@ -7,16 +7,15 @@
 #include <map>
 #include <optional>
 
+#include "core/campaign.h"
 #include "core/config.h"
-#include "core/run.h"
 #include "dist/protocol.h"
 #include "dist/socket.h"
 #include "dist/wire.h"
-#include "exec/executor.h"
+#include "exec/recorder.h"
 #include "inject/fault.h"
 #include "obs/fleet/telemetry.h"
 #include "obs/metrics.h"
-#include "sim/rng.h"
 
 namespace dts::dist {
 
@@ -157,6 +156,7 @@ int run_worker(const WorkerOptions& options, std::string* error) {
     return fail(error, 1, "cannot send ready");
   }
 
+  const exec::ExecOptions run_options;  // trace off: workers journal nothing
   int runs_streamed = 0;
   auto last_send = std::chrono::steady_clock::now();
   auto last_telemetry = last_send;
@@ -212,34 +212,34 @@ int run_worker(const WorkerOptions& options, std::string* error) {
         last_send = now;
       }
 
-      // Seed derivation identical to the in-process executor: the result is
-      // bit-for-bit what a serial sweep computes for this fault.
-      core::RunConfig rc = cfg->run;
-      rc.seed = sim::Rng::mix(welcome->seed, sim::Rng::hash(fault_id));
-      const auto wall_start = std::chrono::steady_clock::now();
-      core::FaultInjectionRun run(rc);
-      const core::RunResult r = run.execute(*spec);
-      const double wall_s = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - wall_start)
-                                .count();
+      // The in-process executor's execute_one: seed derivation, timing and
+      // capture are identical, so the result is bit-for-bit what a serial
+      // sweep computes for this fault.
+      exec::RunIdentity id;
+      id.index = lease->indices[k];
+      id.lease = lease->lease_id;
+      id.fault_id = fault_id;
+      const exec::ExecutedRun run =
+          exec::execute_one(cfg->run, welcome->seed, *spec, id, run_options);
+      const core::RunResult& r = run.result;
 
       WireResult res;
       res.lease_id = lease->lease_id;
-      res.index = lease->indices[k];
+      res.index = id.index;
       res.fault_id = fault_id;
-      res.fn_called = run.interceptor().target_function_called();
+      res.fn_called = run.fn_called;
       res.run_line = core::serialize_run_line(r);
-      res.wall_us = static_cast<std::uint64_t>(wall_s * 1e6);
+      res.wall_us = run.wall_us;
       res.sim_us = static_cast<std::uint64_t>(r.sim_elapsed.count_micros());
       res.requests = encode_requests(r.requests);
       res.detail = r.detail;
-      res.trace_digest = run.interceptor().trace_digest();
-      const auto& inj_ctx = run.interceptor().injection_context();
-      res.call_context = inj_ctx ? inj_ctx->to_string() : "";
+      res.trace_digest = run.trace_digest;
+      res.call_context = run.call_context;
+      if (r.rtrace) res.rtrace = r.rtrace->serialize();
 
       outcome_counters.at(r.outcome)->inc();
       resp_hist.observe(r.response_time.to_seconds());
-      wall_hist.observe(wall_s);
+      wall_hist.observe(static_cast<double>(run.wall_us) * 1e-6);
       if (r.outcome == core::Outcome::kFailure) {
         ++failures;
         recent_failures.push_back(fault_id);

@@ -7,7 +7,10 @@
 // only — never from worker id or schedule — and the paper-§4 skip-uncalled
 // rule is replayed serially over the completed results during the merge, so
 // the output at jobs=N is byte-identical to jobs=1
-// (core::serialize_workload_set round-trips match exactly).
+// (core::serialize_workload_set round-trips match exactly). Exhaustive and
+// planned campaigns share one execution path and record every run through
+// exec::RunRecorder (exec/recorder.h), the record site the distributed
+// coordinator uses too.
 #pragma once
 
 #include <atomic>

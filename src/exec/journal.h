@@ -48,10 +48,14 @@
 // trace (propagation-path digest + per-hop spans, RunTrace::serialize), and
 // the v7 header version is written only for topology campaigns with a
 // non-off rtrace mode — classic journals stay v5 and untraced topology
-// journals stay v6, both byte-identical to before. The reader is field-based
-// and accepts versions 1–7: older files resume cleanly (missing fields stay
-// zero/empty), and newer records with fields an older reader never knew
-// about parse the same way.
+// journals stay v6, both byte-identical to before. exec::journal_version
+// (exec/recorder.h) is the only code that picks a campaign's version, and
+// exec::RunRecorder the only code that builds the records every execution
+// mode writes — in-process, snapshot and distributed journals of one
+// campaign therefore carry the same version and fields. The reader is
+// field-based and accepts versions 1–7: older files resume cleanly (missing
+// fields stay zero/empty), and newer records with fields an older reader
+// never knew about parse the same way.
 #pragma once
 
 #include <cstdint>
@@ -146,9 +150,9 @@ class RunJournal {
   /// in the v4 header so `ntdts replay` can rebuild the exact run
   /// configuration; it is informational and not part of the resume identity
   /// check (JournalKey). `version` is the schema version stamped into the
-  /// header: 5 (the default, classic campaigns), 6 (topology campaigns) or
-  /// 7 (topology campaigns with request tracing). Returns false with *error
-  /// on I/O failure.
+  /// header, as exec::journal_version chooses it for the campaign (the
+  /// default 5 is a classic campaign's). Returns false with *error on I/O
+  /// failure.
   bool open(const std::string& path, const JournalKey& key, bool append,
             std::string* error, const std::string& config_text = "",
             std::uint64_t version = 5);

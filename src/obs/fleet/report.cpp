@@ -285,8 +285,10 @@ FleetReport build_report(const std::vector<exec::JournalFile>& files,
           const int rank = run.topo ? static_cast<int>(topo_outcome_slot(
                                           run.topo->user_outcome))
                                     : 0;
-          if (rank > g.rtrace_example_rank) {
+          if (rank > g.rtrace_example_rank ||
+              (rank == g.rtrace_example_rank && rec.index < g.rtrace_example_index)) {
             g.rtrace_example_rank = rank;
+            g.rtrace_example_index = rec.index;
             g.rtrace_example = rec.rtrace;
             g.rtrace_example_fault = rec.fault_id;
             g.rtrace_example_outcome =

@@ -61,15 +61,17 @@ struct ReportGroup {
 
   /// Request-trace axis (journal v7 "rt"): per-tier critical-path attribution
   /// summed over every traced run, plus one exemplar — the worst-severity
-  /// traced run merged (outage > partial > degraded > masked) — rendered as a
-  /// span waterfall. Empty for untraced campaigns, so their reports are
-  /// byte-identical to before.
+  /// traced run merged (outage > partial > degraded > masked, ties to the
+  /// lowest fault index, so record order — which --jobs and distributed
+  /// runs shuffle — never changes it) — rendered as a span waterfall. Empty
+  /// for untraced campaigns, so their reports are byte-identical to before.
   std::uint64_t traced_runs = 0;
   std::vector<obs::rtrace::TierAttribution> rtrace_totals;
   std::string rtrace_example;          // serialized RunTrace ("rt" payload)
   std::string rtrace_example_fault;    // its fault id
   std::string rtrace_example_outcome;  // its user-visible outcome
   int rtrace_example_rank = -1;        // severity rank of the exemplar
+  std::size_t rtrace_example_index = 0;  // its fault index
 };
 
 struct FleetReport {

@@ -1,8 +1,7 @@
 // Tests for the distributed campaign subsystem (src/dist/): wire framing,
-// socket edge paths (loopback only), the Controller/TargetAgent protocol over
-// a real TCP socket, and coordinator + multi-process worker campaigns —
-// including a forced worker crash — whose output must stay byte-identical to
-// a serial sweep. Labelled `dist` in CTest (also run under ASan/TSan presets).
+// socket edge paths (loopback only), and coordinator + multi-process worker
+// campaigns — including a forced worker crash — whose output must stay
+// byte-identical to a serial sweep. Labelled `dist` in CTest (also run under ASan/TSan presets).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,11 +10,9 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/controller.h"
 #include "core/report.h"
 #include "dist/coordinator.h"
 #include "dist/protocol.h"
@@ -149,6 +146,41 @@ TEST(DistProtocol, MessagesRoundTrip) {
   ASSERT_EQ(back.size(), 2u);
   EXPECT_TRUE(back[0].ok);
   EXPECT_EQ(back[1].attempts, 3);
+
+  // A result carries every field the coordinator's recorder journals,
+  // optional ones (trace digest, call context, request trace) included.
+  dist::WireResult r;
+  r.lease_id = 3;
+  r.index = 5;
+  r.fault_id = "app/ReadFile.hFile#1:zero";
+  r.fn_called = true;
+  r.run_line = "app/ReadFile.hFile#1:zero 1 failure 0 15000000 0 2 1";
+  r.wall_us = 1832;
+  r.sim_us = 414000000;
+  r.requests = dist::encode_requests(reqs);
+  r.detail = "access violation";
+  r.trace_digest = 0x9b24e871a3f1c0deull;
+  r.call_context = "ReadFile@417#1/89abcdef01234567";
+  r.rtrace = "d=0123456789abcdef|s=1,0,app\"x\"";
+  const auto r2 = dist::decode_result(dist::encode_result(r));
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_EQ(r2->lease_id, r.lease_id);
+  EXPECT_EQ(r2->index, r.index);
+  EXPECT_EQ(r2->fault_id, r.fault_id);
+  EXPECT_TRUE(r2->fn_called);
+  EXPECT_EQ(r2->run_line, r.run_line);
+  EXPECT_EQ(r2->wall_us, r.wall_us);
+  EXPECT_EQ(r2->sim_us, r.sim_us);
+  EXPECT_EQ(r2->requests, r.requests);
+  EXPECT_EQ(r2->detail, r.detail);
+  EXPECT_EQ(r2->trace_digest, r.trace_digest);
+  EXPECT_EQ(r2->call_context, r.call_context);
+  EXPECT_EQ(r2->rtrace, r.rtrace);
+  // An untraced run ships no "rt" field at all.
+  r.rtrace.clear();
+  const std::string untraced = dist::encode_result(r);
+  EXPECT_EQ(untraced.find("\"rt\""), std::string::npos);
+  EXPECT_TRUE(dist::decode_result(untraced)->rtrace.empty());
 }
 
 // --- socket edge paths (loopback) ----------------------------------------
@@ -259,49 +291,6 @@ TEST(DistSocket, ParseHostPort) {
   EXPECT_FALSE(dist::parse_host_port("host:99999").has_value());
 }
 
-// The paper's Controller/TargetAgent protocol over a real TCP socket: the
-// line protocol was designed so "a socket transport drops in unchanged".
-TEST(DistSocket, ControllerDrivesTargetAgentOverLoopback) {
-  std::string error;
-  dist::Listener listener = dist::Listener::open("127.0.0.1", 0, &error);
-  ASSERT_TRUE(listener.valid()) << error;
-  dist::Socket client =
-      dist::tcp_connect("127.0.0.1", listener.port(), 1000, 0, &error);
-  ASSERT_TRUE(client.valid()) << error;
-  dist::Socket server = listener.accept(1000);
-  ASSERT_TRUE(server.valid());
-
-  const core::RunConfig cfg = make_config("Apache1");
-  std::thread agent_thread([&server, cfg] {
-    dist::SocketTransport agent_end(std::move(server), {.io_timeout_ms = 5000});
-    core::TargetAgent agent(cfg, agent_end);
-    // One profile request + one run request.
-    ASSERT_TRUE(agent_end.serve_one(5000)) << agent_end.error();
-    ASSERT_TRUE(agent_end.serve_one(5000)) << agent_end.error();
-  });
-
-  dist::SocketTransport controller_end(std::move(client),
-                                       {.io_timeout_ms = 5000, .sync_request = true});
-  core::Controller controller(controller_end);
-  const auto fns = controller.profile();
-  EXPECT_FALSE(fns.empty());
-
-  const inject::FaultList list = capped_list(cfg, 7, 4);
-  ASSERT_FALSE(list.faults.empty());
-  const core::RunResult remote = controller.run_fault(list.faults[0]);
-  EXPECT_EQ(controller.protocol_errors(), 0);
-  EXPECT_GT(controller_end.bytes_sent(), 0u);
-  EXPECT_GT(controller_end.bytes_received(), 0u);
-  agent_thread.join();
-
-  // The remote run reports the same outcome line as a local controller pair.
-  core::TransportPair pair = core::make_in_process_transport();
-  core::TargetAgent local_agent(cfg, *pair.agent_end);
-  core::Controller local(*pair.controller_end);
-  EXPECT_EQ(core::serialize_run_line(remote),
-            core::serialize_run_line(local.run_fault(list.faults[0])));
-}
-
 // --- coordinator + worker fleet ------------------------------------------
 
 // The tentpole acceptance bar: a coordinator with two worker processes
@@ -349,7 +338,7 @@ TEST(DistCampaign, WorkerCrashMidShardReassignsLeaseAndStaysByteIdentical) {
   obs::MetricsRegistry metrics;
   dist::DistOptions d;
   d.lease_size = 4;  // leases span several faults, so a crash tears one
-  d.metrics = &metrics;
+  d.exec.metrics = &metrics;
   dist::Coordinator coordinator(cfg, list, 7, d);
 
   // Worker A streams one result and then _exit()s mid-lease; worker B is
@@ -383,7 +372,7 @@ TEST(DistCampaign, DistributedJournalResumesInProcess) {
 
   dist::DistOptions d;
   d.spawn_workers = 1;
-  d.journal_path = journal;
+  d.exec.journal_path = journal;
   dist::Coordinator coordinator(cfg, list, 7, d);
   const exec::CampaignResult distributed = coordinator.run();
   ASSERT_FALSE(distributed.runs.empty());

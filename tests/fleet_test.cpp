@@ -485,8 +485,8 @@ TEST(FleetTelemetry, WorkerRunTotalsSumExactlyToJournalRecords) {
   obs::fleet::FleetEventLog events;
   dist::DistOptions d;
   d.spawn_workers = 2;
-  d.journal_path = journal;
-  d.metrics = &metrics;
+  d.exec.journal_path = journal;
+  d.exec.metrics = &metrics;
   d.events = &events;
   d.telemetry_ms = 50;
   dist::Coordinator coordinator(cfg, list, 7, d);

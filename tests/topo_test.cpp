@@ -15,6 +15,7 @@
 #include "forensics/replay.h"
 #include "forensics/signature.h"
 #include "inject/fault.h"
+#include "journal_norm.h"
 #include "obs/fleet/report.h"
 #include "topo/topology.h"
 
@@ -350,15 +351,31 @@ TEST(TopoDist, CoordinatorWorkersMatchSerialByteIdentical) {
   const core::DtsConfig cfg = parse_or_die(kThreeTierConfig);
   core::CampaignOptions opt = cfg.campaign;
 
+  const std::string serial_journal =
+      temp_path("topo_dist_serial." + std::to_string(::getpid()) + ".jsonl");
+  std::filesystem::remove(serial_journal);
   opt.jobs = 1;
+  opt.journal_path = serial_journal;
   const core::WorkloadSetResult serial = core::run_workload_set(cfg.run, opt);
 
+  const std::string dist_journal =
+      temp_path("topo_dist_workers." + std::to_string(::getpid()) + ".jsonl");
+  std::filesystem::remove(dist_journal);
+  opt.journal_path = dist_journal;
   dist::DistOptions d;
   d.spawn_workers = 2;
   const core::WorkloadSetResult distributed =
       dist::run_workload_set_distributed(cfg.run, opt, d);
 
   EXPECT_EQ(core::serialize_workload_set(distributed), core::serialize_workload_set(serial));
+  // Same journal too: version, tier annotations and embedded config included.
+  const testing::NormalJournal want = testing::normalise_journal(serial_journal);
+  const testing::NormalJournal have = testing::normalise_journal(dist_journal);
+  ASSERT_FALSE(want.records.empty());
+  EXPECT_EQ(have.header, want.header);
+  EXPECT_EQ(have.records, want.records);
+  std::filesystem::remove(serial_journal);
+  std::filesystem::remove(dist_journal);
 }
 
 // --- journal, replay, report ----------------------------------------------

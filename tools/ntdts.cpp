@@ -820,19 +820,9 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
     // precisely these), sharded across the same executor.
     set.base_config = cfg->run;
     set.activated_functions = core::profile_workload(cfg->run, cfg->campaign.seed);
-    exec::ExecOptions eo;
-    eo.config_text = core::serialize_config(*cfg);
-    eo.jobs = cfg->campaign.jobs;
+    exec::ExecOptions eo = core::exec_options_from(cfg->run, cfg->campaign);
+    eo.config_text = core::serialize_config(*cfg);  // names the fault list file too
     eo.skip_uncalled = false;
-    eo.journal_path = cfg->campaign.journal_path;
-    eo.resume = resume;
-    eo.on_progress = progress;
-    eo.metrics = cfg->campaign.metrics;
-    eo.trace = cfg->campaign.trace;
-    eo.forensics_depth = cfg->campaign.forensics_depth;
-    eo.forensics_dir = cfg->campaign.forensics_dir;
-    eo.stall = cfg->campaign.stall;
-    eo.status = cfg->campaign.status;
     exec::CampaignExecutor executor(std::move(eo));
     set.runs = executor.run(cfg->run, *explicit_faults, cfg->campaign.seed).runs;
   } else {
