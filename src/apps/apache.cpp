@@ -249,7 +249,8 @@ sim::Task apache_worker(Ctx c, ApacheConfig cfg, nt::net::Network* network,
       }
     }
 
-    sock->send(http::format_response(status, content_type, body, "Apache/1.3.3 (WinNT)"));
+    sock->send(http::frame_response(status, content_type, std::move(body),
+                                    "Apache/1.3.3 (WinNT)"));
 
     // Access log under the log lock.
     (void)co_await api(Fn::EnterCriticalSection, log_cs.addr);

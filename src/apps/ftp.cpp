@@ -203,18 +203,11 @@ sim::CoTask<std::optional<std::string>> ftp_fetch(Ctx c, nt::net::Network* net,
 
   auto data = co_await net->connect(c, server_machine, data_port);
   if (data == nullptr) co_return std::nullopt;
-  std::string payload;
-  for (;;) {
-    const sim::Duration left = remaining();
-    if (left <= sim::Duration{}) co_return std::nullopt;
-    auto chunk = co_await data->recv(c, 65536, left);
-    if (!chunk) co_return std::nullopt;  // timeout
-    if (chunk->empty()) break;           // transfer complete
-    payload += *chunk;
-  }
+  const nt::net::Reply payload = co_await data->recv_to_eof(c, remaining());
+  if (!payload.complete) co_return std::nullopt;  // timeout
   if (!co_await expect("226")) co_return std::nullopt;
   ctrl->send("QUIT\r\n");
-  co_return payload;
+  co_return payload.bytes != nullptr ? *payload.bytes : std::string();
 }
 
 }  // namespace dts::apps::ftp

@@ -1,5 +1,9 @@
 #include "apps/http.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <iterator>
 #include <sstream>
 
 namespace dts::apps::http {
@@ -47,21 +51,58 @@ std::string_view reason_phrase(int status) {
   }
 }
 
+namespace {
+
+/// The status line and headers of a response, as pieces; the status and
+/// length digits live in this object.
+struct Header {
+  char status_digits[12];
+  char length_digits[24];
+  std::array<std::string_view, 11> pieces;
+  std::size_t size = 0;
+
+  Header(const Header&) = delete;  // `pieces` points into this object
+  Header(int status, std::string_view content_type, std::size_t body_size,
+         std::string_view server_name) {
+    const auto st = std::to_chars(std::begin(status_digits), std::end(status_digits), status);
+    const auto len =
+        std::to_chars(std::begin(length_digits), std::end(length_digits), body_size);
+    pieces = {"HTTP/1.0 ",
+              std::string_view(status_digits, st.ptr),
+              " ",
+              reason_phrase(status),
+              "\r\nServer: ",
+              server_name,
+              "\r\nContent-Type: ",
+              content_type,
+              "\r\nContent-Length: ",
+              std::string_view(length_digits, len.ptr),
+              "\r\nConnection: close\r\n\r\n"};
+    for (std::string_view piece : pieces) size += piece.size();
+  }
+};
+
+}  // namespace
+
 std::string format_response(int status, std::string_view content_type, std::string_view body,
                             std::string_view server_name) {
-  const std::string status_text = std::to_string(status);
-  const std::string length_text = std::to_string(body.size());
-  const std::string_view reason = reason_phrase(status);
-  std::string out;  // one allocation: the fixed header text is 77 bytes
-  out.reserve(77 + status_text.size() + reason.size() + server_name.size() +
-              content_type.size() + length_text.size() + body.size());
-  out.append("HTTP/1.0 ").append(status_text).append(" ").append(reason).append("\r\n");
-  out.append("Server: ").append(server_name).append("\r\n");
-  out.append("Content-Type: ").append(content_type).append("\r\n");
-  out.append("Content-Length: ").append(length_text).append("\r\n");
-  out.append("Connection: close\r\n\r\n");
+  const Header header(status, content_type, body.size(), server_name);
+  std::string out;  // one allocation
+  out.reserve(header.size + body.size());
+  for (std::string_view piece : header.pieces) out.append(piece);
   out.append(body);
   return out;
+}
+
+std::string frame_response(int status, std::string_view content_type, std::string body,
+                           std::string_view server_name) {
+  const Header header(status, content_type, body.size(), server_name);
+  body.insert(0, header.size, '\0');  // shifts the body; reuses spare capacity
+  char* at = body.data();
+  for (std::string_view piece : header.pieces) {
+    at = std::copy(piece.begin(), piece.end(), at);
+  }
+  return body;
 }
 
 bool is_ok_reply(std::string_view reply, std::string_view expected_body) {

@@ -36,6 +36,12 @@ std::optional<Request> parse_request(const std::string& raw);
 std::string format_response(int status, std::string_view content_type, std::string_view body,
                             std::string_view server_name);
 
+/// The same response built around `body`'s own buffer: the header is
+/// inserted in front of the body, so a body read with kResponseHeaderRoom
+/// spare capacity (read_file_syscall) is framed without reallocating.
+std::string frame_response(int status, std::string_view content_type, std::string body,
+                           std::string_view server_name);
+
 std::string_view reason_phrase(int status);
 
 /// True when `reply` is a 200 response whose body is exactly `expected_body`

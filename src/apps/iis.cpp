@@ -33,7 +33,8 @@ struct IisState {
   /// corrupted during the first fill is served to every later request — a
   /// persistent wrong-response loop that no restart-based middleware
   /// observes, one of the Apache-vs-IIS reliability gaps the paper measured.
-  /// Bodies are shared with the requests they serve, never copied per hit.
+  /// The cache holds the formatted 200 response, shared with every request
+  /// it serves: neither the body nor the header is copied per hit.
   std::map<std::string, std::shared_ptr<const std::string>> content_cache;
 };
 
@@ -216,9 +217,19 @@ sim::CoTask<void> iis_log_request(const Api& api, const IisConfig& cfg, IisState
   (void)co_await api(Fn::FlushFileBuffers, state->h_log);
 }
 
+constexpr std::string_view kServerName = "Microsoft-IIS/3.0";
+
+/// A formatted text/html response, shared so it can be cached and sent
+/// without copying.
+std::shared_ptr<const std::string> iis_response(int status, std::string_view body) {
+  return std::make_shared<const std::string>(
+      http::format_response(status, "text/html", body, kServerName));
+}
+
 /// Serves a static file with IIS's request-path machinery: header parsing
 /// through the lstr/locale functions, a file-mapping content cache warmed on
-/// first use, then CreateFileA + GetFileSize + ReadFile.
+/// first use, then CreateFileA + GetFileSize + ReadFile. Returns the status
+/// and the whole response.
 sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static(
     const Api& api, const IisConfig& cfg, IisState* state, const http::Request& req) {
   // Header / URL processing (user-mode string machinery, request-path
@@ -261,16 +272,15 @@ sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static
 
   const Word attrs = co_await api(Fn::GetFileAttributesA, api.str(full).addr);
   if (attrs == nt::kInvalidFileAttributes) {
-    co_return std::pair{404, std::make_shared<const std::string>(
-                                 "<html><body><h1>404 Object Not Found</h1></body></html>")};
+    co_return std::pair{404,
+                        iis_response(404, "<html><body><h1>404 Object Not Found</h1></body></html>")};
   }
   co_await api.cpu(cfg.static_request_cost);
 
   const Word h = co_await api(Fn::CreateFileA, api.str(full).addr, nt::kGenericRead, 1, 0,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) {
-    co_return std::pair{500, std::make_shared<const std::string>(
-                                 "<html><body><h1>500 Server Error</h1></body></html>")};
+    co_return std::pair{500, iis_response(500, "<html><body><h1>500 Server Error</h1></body></html>")};
   }
   const Ptr size_high = api.buf(4);
   const Word size = co_await api(Fn::GetFileSize, h, size_high.addr);
@@ -280,7 +290,7 @@ sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static
   // or over-reads the body — the "incorrect reply" class.
   std::string body;
   if (size != nt::kInvalidHandleValue) {
-    body.reserve(size);
+    body.reserve(std::size_t{size} + kResponseHeaderRoom);
     const Word chunk_size = 16384;
     const Ptr buffer = api.buf(chunk_size);
     const Ptr n_read = api.buf(4);
@@ -295,9 +305,10 @@ sim::CoTask<std::pair<int, std::shared_ptr<const std::string>>> iis_serve_static
     }
   }
   (void)co_await api(Fn::CloseHandle, h);
-  auto shared = std::make_shared<const std::string>(std::move(body));
-  state->content_cache.emplace(full, shared);  // whatever we computed is cached
-  co_return std::pair{200, std::move(shared)};
+  auto response = std::make_shared<const std::string>(
+      http::frame_response(200, "text/html", std::move(body), kServerName));
+  state->content_cache.emplace(full, response);  // whatever we computed is cached
+  co_return std::pair{200, std::move(response)};
 }
 
 /// The worker thread: drains the queue and serves requests.
@@ -326,23 +337,22 @@ sim::Task iis_worker_thread(Ctx c, IisConfig cfg, std::shared_ptr<IisState> stat
     auto req = co_await http::read_request(c, *sock, sim::Duration::seconds(30));
     if (!req) continue;
 
-    std::shared_ptr<const std::string> body;
+    std::shared_ptr<const std::string> response;
     int status = 200;
     if (req->path().rfind("/cgi-bin/", 0) == 0 || req->path().rfind("/scripts/", 0) == 0) {
       auto out = co_await http::run_cgi(api, "cgi.exe", *req, cfg.cgi_timeout);
       if (out) {
-        body = std::make_shared<const std::string>(std::move(*out));
+        response = iis_response(200, *out);
       } else {
         status = 500;
-        body = std::make_shared<const std::string>(
-            "<html><body><h1>500 Server Error</h1></body></html>");
+        response = iis_response(500, "<html><body><h1>500 Server Error</h1></body></html>");
       }
     } else {
-      auto [st, b] = co_await iis_serve_static(api, cfg, state.get(), *req);
+      auto [st, r] = co_await iis_serve_static(api, cfg, state.get(), *req);
       status = st;
-      body = std::move(b);
+      response = std::move(r);
     }
-    sock->send(http::format_response(status, "text/html", *body, "Microsoft-IIS/3.0"));
+    sock->send(std::move(response));
     co_await iis_log_request(api, cfg, state.get(),
                              req->method + " " + req->target + " " + std::to_string(status));
   }

@@ -57,6 +57,11 @@ class Api {
   Ctx c_;
 };
 
+/// Spare capacity read_file_syscall reserves past the file's size, so a
+/// server can put its response header in front of the body in place
+/// (http::frame_response).
+inline constexpr std::size_t kResponseHeaderRoom = 256;
+
 /// Reads an entire file through the syscall surface. Returns std::nullopt on
 /// any error. Burns I/O time proportional to size.
 inline sim::CoTask<std::optional<std::string>> read_file_syscall(const Api& api,
@@ -66,6 +71,11 @@ inline sim::CoTask<std::optional<std::string>> read_file_syscall(const Api& api,
                               nt::kOpenExisting, 0, 0);
   if (h == nt::kInvalidHandleValue) co_return std::nullopt;
   std::string out;
+  // Size the result host-side from the open file (no extra syscall, so the
+  // injectable surface is unchanged); only a capacity hint.
+  if (auto f = api.proc().handles().get_as<nt::FileObject>(nt::Handle{h})) {
+    if (auto size = f->fs().file_size(f->path())) out.reserve(*size + kResponseHeaderRoom);
+  }
   const Ptr buffer = api.buf(chunk_size);
   const Ptr n_read = api.buf(4);
   for (;;) {

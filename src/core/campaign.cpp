@@ -118,7 +118,8 @@ inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& o
 }
 
 exec::ExecOptions exec_options_from(const RunConfig& base, const CampaignOptions& options,
-                                    const plan::GoldenProfile* profile) {
+                                    const plan::GoldenProfile* profile,
+                                    const std::string& fault_list_file) {
   exec::ExecOptions eo;
   // Journal v4 headers embed the serialized campaign configuration, so
   // `ntdts replay <journal> <xi>` reconstructs the exact run without the
@@ -126,6 +127,7 @@ exec::ExecOptions exec_options_from(const RunConfig& base, const CampaignOptions
   DtsConfig shipped;
   shipped.run = base;
   shipped.campaign = options;
+  shipped.fault_list_file = fault_list_file;
   eo.config_text = serialize_config(shipped);
   eo.snapshots = options.snapshots && profile != nullptr;
   eo.snapshot_profile = profile;
@@ -221,6 +223,19 @@ static WorkloadSetResult run_planned_workload_set(const RunConfig& base,
   result.plan_digest = std::move(digest);
   result.executed_runs = campaign.executed;
   result.runs = std::move(campaign.runs);
+  return result;
+}
+
+WorkloadSetResult run_fault_list(const RunConfig& base, const CampaignOptions& options,
+                                 const inject::FaultList& list,
+                                 const std::string& fault_list_file) {
+  WorkloadSetResult result;
+  result.base_config = base;
+  result.activated_functions = profile_workload(base, options.seed);
+  exec::ExecOptions eo = exec_options_from(base, options, nullptr, fault_list_file);
+  eo.skip_uncalled = false;
+  exec::CampaignExecutor executor(std::move(eo));
+  result.runs = executor.run(base, list, options.seed).runs;
   return result;
 }
 

@@ -155,13 +155,24 @@ inject::FaultList campaign_sweep(const RunConfig& base, const CampaignOptions& o
 /// sinks and progress from `options`, and the serialized campaign config
 /// (core::serialize_config) the journal header embeds for `ntdts replay`.
 /// Snapshot execution is on only when options.snapshots and `profile` (which
-/// must outlive the executor) are both set. Shared by every execution mode,
-/// so in-process and distributed journals carry the same header.
+/// must outlive the executor) are both set. A campaign that runs an explicit
+/// fault list passes the list's `fault_list_file`, which the config names.
+/// Shared by every execution mode, so in-process and distributed journals
+/// carry the same header.
 exec::ExecOptions exec_options_from(const RunConfig& base, const CampaignOptions& options,
-                                    const plan::GoldenProfile* profile = nullptr);
+                                    const plan::GoldenProfile* profile = nullptr,
+                                    const std::string& fault_list_file = {});
 
 /// Runs a complete workload set and returns its results.
 WorkloadSetResult run_workload_set(const RunConfig& base, const CampaignOptions& options = {});
+
+/// Runs exactly `list`, the explicit fault list read from `fault_list_file`:
+/// every listed fault executes (no skip-uncalled rule — the user asked for
+/// precisely these). dist::run_workload_set_distributed is the distributed
+/// twin and writes the same journal.
+WorkloadSetResult run_fault_list(const RunConfig& base, const CampaignOptions& options,
+                                 const inject::FaultList& list,
+                                 const std::string& fault_list_file);
 
 /// Profiling only: the set of activated functions (no faults injected).
 std::set<nt::Fn> profile_workload(const RunConfig& base, std::uint64_t seed = 1);

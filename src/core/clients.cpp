@@ -44,30 +44,12 @@ sim::CoTask<RequestResult> attempt_request(
     sock->send(wire_request);
 
     // Collect the reply until EOF, bounded by the response timeout.
-    const sim::TimePoint deadline = c.m().sim().now() + p.config.response_timeout;
-    std::string reply;
-    bool timed_out = false;
-    for (;;) {
-      const sim::Duration remaining = deadline - c.m().sim().now();
-      if (remaining <= sim::Duration{}) {
-        timed_out = true;
-        break;
-      }
-      auto chunk = co_await sock->recv(c, 65536, remaining);
-      if (!chunk) {
-        timed_out = true;
-        break;
-      }
-      if (chunk->empty()) break;  // EOF: reply complete (or connection reset)
-      if (reply.empty()) {
-        reply = std::move(*chunk);
-      } else {
-        reply += *chunk;
-      }
-    }
+    const nt::net::Reply got = co_await sock->recv_to_eof(c, p.config.response_timeout);
+    static const std::string kNoReply;
+    const std::string& reply = got.bytes != nullptr ? *got.bytes : kNoReply;
 
     if (!reply.empty()) result.any_response = true;
-    if (timed_out) {
+    if (!got.complete) {
       result.detail = "timeout";
       continue;
     }

@@ -628,7 +628,8 @@ pid_t spawn_worker_process(const WorkerOptions& options, int close_fd) {
 
 core::WorkloadSetResult run_workload_set_distributed(
     const core::RunConfig& base, const core::CampaignOptions& options,
-    DistOptions dist, const std::optional<inject::FaultList>& explicit_faults) {
+    DistOptions dist, const std::optional<inject::FaultList>& explicit_faults,
+    const std::string& fault_list_file) {
   core::WorkloadSetResult result;
   result.base_config = base;
   result.activated_functions = core::profile_workload(base, options.seed);
@@ -636,7 +637,7 @@ core::WorkloadSetResult run_workload_set_distributed(
   // Journal, resume, metrics, stall, status and progress flow from `options`
   // through the same function the in-process path uses, so the journal header
   // embeds the same campaign config.
-  dist.exec = core::exec_options_from(base, options);
+  dist.exec = core::exec_options_from(base, options, nullptr, fault_list_file);
   inject::FaultList list;
   if (explicit_faults) {
     list = *explicit_faults;

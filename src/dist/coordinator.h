@@ -121,13 +121,14 @@ class Coordinator {
 pid_t spawn_worker_process(const WorkerOptions& options, int close_fd);
 
 /// Distributed twin of core::run_workload_set's exhaustive path: profiles,
-/// builds the fault list (or takes the explicit one — executed without the
-/// skip-uncalled rule, as in-process), then runs it through a Coordinator.
-/// `dist.exec` is replaced by core::exec_options_from(base, options), so
+/// builds the fault list (or takes the explicit one, read from
+/// `fault_list_file`, as core::run_fault_list does), then runs it through a
+/// Coordinator. `dist.exec` is replaced by core::exec_options_from, so
 /// journal, resume, metrics and progress flow from `options` as usual.
 core::WorkloadSetResult run_workload_set_distributed(
     const core::RunConfig& base, const core::CampaignOptions& options,
     DistOptions dist,
-    const std::optional<inject::FaultList>& explicit_faults = std::nullopt);
+    const std::optional<inject::FaultList>& explicit_faults = std::nullopt,
+    const std::string& fault_list_file = {});
 
 }  // namespace dts::dist

@@ -192,16 +192,15 @@ Win32Error Filesystem::open(std::string_view path, Dword access, Dword dispositi
 }
 
 Win32Error Filesystem::read(const std::string& canonical, Word offset, Word size,
-                            std::string* out) const {
+                            Slice* out) const {
   auto it = files_.find(canonical);
   if (it == files_.end()) return Win32Error::kFileNotFound;
-  const std::string& c = it->second.data();
-  if (offset >= c.size()) {
-    out->clear();
-    return Win32Error::kSuccess;  // EOF: zero bytes read
-  }
-  const Word avail = static_cast<Word>(c.size()) - offset;
-  *out = c.substr(offset, std::min(size, avail));
+  const std::size_t length = it->second.data().size();
+  *out = Slice{};
+  if (offset >= length) return Win32Error::kSuccess;  // EOF: zero bytes read
+  out->content = it->second.content;
+  out->offset = offset;
+  out->size = std::min<std::size_t>(size, length - offset);
   return Win32Error::kSuccess;
 }
 
@@ -224,7 +223,11 @@ Win32Error Filesystem::truncate(const std::string& canonical, Word new_size) {
 std::optional<Word> Filesystem::size(std::string_view path) const {
   auto norm = normalize(path);
   if (!norm) return std::nullopt;
-  auto it = files_.find(fold(*norm));
+  return file_size(fold(*norm));
+}
+
+std::optional<Word> Filesystem::file_size(const std::string& canonical) const {
+  auto it = files_.find(canonical);
   if (it == files_.end()) return std::nullopt;
   return static_cast<Word>(it->second.data().size());
 }

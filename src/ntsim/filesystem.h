@@ -20,7 +20,9 @@ namespace dts::nt {
 
 class Filesystem;
 
-/// An open-file object (what a file handle refers to).
+/// An open-file object (what a file handle refers to). Its path is the
+/// folded canonical key Filesystem::open returned, so handle-based I/O looks
+/// the file up without normalizing again.
 class FileObject final : public KernelObject {
  public:
   FileObject(sim::Simulation& sim, Filesystem& fs, std::string path, Dword access)
@@ -91,15 +93,29 @@ class Filesystem {
   Win32Error open(std::string_view path, Dword access, Dword disposition,
                   std::string* canonical, bool* created);
 
-  /// Reads up to `size` bytes at `offset`. Returns bytes actually read
-  /// (0 at/after EOF).
-  Win32Error read(const std::string& canonical, Word offset, Word size,
-                  std::string* out) const;
+  /// The bytes a read returns, shared with the file rather than copied.
+  /// Holding `content` keeps them as they were at the read: a later write
+  /// to the file clones it first (writable()).
+  struct Slice {
+    std::shared_ptr<const std::string> content;
+    std::size_t offset = 0;
+    std::size_t size = 0;
+
+    std::string_view bytes() const {
+      return size == 0 ? std::string_view() : std::string_view(*content).substr(offset, size);
+    }
+  };
+
+  /// Reads up to `size` bytes at `offset` (an empty slice at/after EOF).
+  Win32Error read(const std::string& canonical, Word offset, Word size, Slice* out) const;
 
   /// Writes at `offset`, extending the file as needed.
   Win32Error write(const std::string& canonical, Word offset, std::string_view data);
 
   Win32Error truncate(const std::string& canonical, Word new_size);
+
+  /// Size in bytes of the file with this canonical key, or nullopt if missing.
+  std::optional<Word> file_size(const std::string& canonical) const;
 
   /// File size in bytes, or nullopt if missing.
   std::optional<Word> size(std::string_view path) const;

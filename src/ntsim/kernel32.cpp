@@ -279,14 +279,15 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
   auto obj = s.resolve(h);
   if (obj == nullptr) co_return s.fail(Win32Error::kInvalidHandle);
 
+  // A file read takes its slice of the file's shared content now and copies
+  // it into the user buffer after the I/O time; a pipe read copies out of
+  // the pipe buffer into `data`.
+  Filesystem::Slice slice;
   std::string data;
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
-    const auto canonical = Filesystem::fold(*Filesystem::normalize(f->path()));
-    std::string chunk;
-    const Win32Error e = machine_->fs().read(canonical, f->offset(), to_read, &chunk);
+    const Win32Error e = machine_->fs().read(f->path(), f->offset(), to_read, &slice);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
-    data = std::move(chunk);
-    f->set_offset(f->offset() + static_cast<Word>(data.size()));
+    f->set_offset(f->offset() + static_cast<Word>(slice.size));
   } else if (auto* pr = dynamic_cast<PipeReadObject*>(obj.get())) {
     PipeBuffer& buf = pr->buffer();
     while (buf.data.empty() && !buf.write_closed) {
@@ -323,12 +324,13 @@ sim::CoTask<Word> Kernel32::do_read_file(Ctx c, const CallRecord& r, bool ex) {
     co_return s.fail(Win32Error::kInvalidHandle);
   }
 
-  co_await sleep_in_sim(c, machine_->cost(io_cost(static_cast<Word>(data.size()))));
+  const std::string_view bytes = slice.size > 0 ? slice.bytes() : std::string_view(data);
+  co_await sleep_in_sim(c, machine_->cost(io_cost(static_cast<Word>(bytes.size()))));
 
   // The kernel probes the user buffer: bad pointers are error returns.
   try {
-    if (!data.empty()) s.mem().write_bytes(buffer, data);
-    if (!ex && r.args[3] != 0) s.mem().write_u32(Ptr{r.args[3]}, static_cast<Word>(data.size()));
+    if (!bytes.empty()) s.mem().write_bytes(buffer, bytes);
+    if (!ex && r.args[3] != 0) s.mem().write_u32(Ptr{r.args[3]}, static_cast<Word>(bytes.size()));
   } catch (const AccessViolation&) {
     co_return s.fail(Win32Error::kNoAccess);
   }
@@ -364,8 +366,7 @@ sim::CoTask<Word> Kernel32::do_write_file(Ctx c, const CallRecord& r, bool ex) {
 
   if (auto* f = dynamic_cast<FileObject*>(obj.get())) {
     if ((f->access() & kGenericWrite) == 0) co_return s.fail(Win32Error::kAccessDenied);
-    const auto canonical = Filesystem::fold(*Filesystem::normalize(f->path()));
-    const Win32Error e = machine_->fs().write(canonical, f->offset(), data);
+    const Win32Error e = machine_->fs().write(f->path(), f->offset(), data);
     if (e != Win32Error::kSuccess) co_return s.fail(e);
     f->set_offset(f->offset() + to_write);
   } else if (auto* np = dynamic_cast<NamedPipeEndObject*>(obj.get())) {

@@ -21,11 +21,6 @@ FileObject* file_of(Sys& s, Word handle) {
   return dynamic_cast<FileObject*>(s.resolve(handle).get());
 }
 
-/// Canonical folded path of an open file (used as the filesystem key).
-std::string key_of(const FileObject& f) {
-  return Filesystem::fold(*Filesystem::normalize(f.path()));
-}
-
 /// Resolves a possibly-relative path against the process current directory.
 std::string resolve_path(Sys& s, const std::string& raw) {
   if (raw.size() >= 2 && raw[1] == ':') return raw;
@@ -191,7 +186,7 @@ Word sync_file(Sys& s, const CallRecord& r) {
       if (a[2] != 0) (void)s.mem().read_u32(Ptr{a[2]});  // user-mode high-part read
       const auto distance = static_cast<std::int32_t>(a[1]);
       std::int64_t base = 0;
-      const auto size = s.m.fs().size(f->path()).value_or(0);
+      const auto size = s.m.fs().file_size(f->path()).value_or(0);
       switch (a[3]) {
         case kFileBegin: base = 0; break;
         case kFileCurrent: base = f->offset(); break;
@@ -207,7 +202,7 @@ Word sync_file(Sys& s, const CallRecord& r) {
       FileObject* f = file_of(s, a[0]);
       if (f == nullptr) return s.fail(Win32Error::kInvalidHandle, kInvalidHandleValue);
       if (a[1] != 0) s.mem().write_u32(Ptr{a[1]}, 0);  // user-mode write of high part
-      return s.m.fs().size(f->path()).value_or(0);
+      return s.m.fs().file_size(f->path()).value_or(0);
     }
     case Fn::GetFileType: {
       auto obj = s.resolve(a[0]);
@@ -222,7 +217,7 @@ Word sync_file(Sys& s, const CallRecord& r) {
     case Fn::SetEndOfFile: {
       FileObject* f = file_of(s, a[0]);
       if (f == nullptr) return s.fail(Win32Error::kInvalidHandle);
-      const Win32Error e = s.m.fs().truncate(key_of(*f), f->offset());
+      const Win32Error e = s.m.fs().truncate(f->path(), f->offset());
       return e == Win32Error::kSuccess ? 1 : s.fail(e);
     }
     case Fn::FlushFileBuffers: {

@@ -4,11 +4,37 @@
 #include <cstring>
 #include <new>
 
+#include <sys/mman.h>
+
 namespace dts::nt {
 
 namespace {
 constexpr Word kGuardGap = 4096;  // unmapped bytes between blocks
+
+/// The process-wide zero region behind lazily zeroed blocks: mapped once,
+/// read-only and never touched, so it costs address space but no resident
+/// memory (reads map the kernel's shared zero page). Shared by every
+/// thread's address spaces.
+std::byte* zero_region() {
+  static std::byte* const region = [] {
+    void* p = ::mmap(nullptr, VirtualMemory::kZeroRegionBytes, PROT_READ,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc{};
+    return static_cast<std::byte*>(p);
+  }();
+  return region;
+}
+
+std::shared_ptr<std::byte[]> zeroed_payload(Word size) {
+  if (size < VirtualMemory::kLazyZeroMin || size > VirtualMemory::kZeroRegionBytes) {
+    return std::make_shared<std::byte[]>(size);
+  }
+  // A no-op deleter: the region outlives every view.
+  return std::shared_ptr<std::byte[]>(zero_region(), [](std::byte*) {});
+}
 }  // namespace
+
+bool VirtualMemory::Block::zero_view() const { return bytes.get() == zero_region(); }
 
 Ptr VirtualMemory::alloc(Word size) {
   if (size == 0) size = 1;
@@ -24,7 +50,7 @@ Ptr VirtualMemory::alloc(Word size) {
   // Sorted insert; with the bump allocator above this is always an append.
   const auto pos = std::upper_bound(blocks_.begin(), blocks_.end(), base,
                                     [](Word a, const Block& b) { return a < b.base; });
-  blocks_.insert(pos, Block{base, size, std::make_shared<std::byte[]>(size)});
+  blocks_.insert(pos, Block{base, size, zeroed_payload(size)});
   bytes_in_use_ += size;
   return Ptr{base};
 }
@@ -34,7 +60,13 @@ std::byte* VirtualMemory::writable(const Block& b) {
   // resized here, so mutating the payload pointer through the const ref is
   // safe — the same const_cast the pre-COW code did on the byte vector.
   Block& block = const_cast<Block&>(b);
-  if (block.bytes.use_count() > 1) {
+  const bool shared = block.bytes.use_count() > 1;
+  if (block.zero_view()) {
+    // First write to a lazily zeroed block: the zeros it stood for become
+    // its own, counted as a clone only if a snapshot shares the block.
+    block.bytes = std::make_shared<std::byte[]>(block.size);
+    if (shared) ++cow_copies_;
+  } else if (shared) {
     auto copy = std::make_shared_for_overwrite<std::byte[]>(block.size);
     std::memcpy(copy.get(), block.bytes.get(), block.size);
     block.bytes = std::move(copy);

@@ -32,7 +32,14 @@ class VirtualMemory {
   /// single-block overruns and near-miss corrupted pointers fault rather than
   /// silently landing in a neighbour. Throws std::bad_alloc if the simulated
   /// address space is exhausted.
+  ///
+  /// A block of kLazyZeroMin to kZeroRegionBytes starts as a read-only view
+  /// of one process-wide zero region and gets its own bytes on its first
+  /// write (writable()), so a large buffer costs nothing until it is used.
   Ptr alloc(Word size);
+
+  static constexpr Word kLazyZeroMin = 32 * 1024;
+  static constexpr Word kZeroRegionBytes = 4 * 1024 * 1024;
 
   /// Frees a block previously returned by alloc(). Freeing an invalid or
   /// already-freed pointer returns false (the caller decides whether that is
@@ -83,7 +90,12 @@ class VirtualMemory {
   struct Block {
     Word base = 0;
     Word size = 0;
-    std::shared_ptr<std::byte[]> bytes;  // exactly `size` bytes
+    /// Exactly `size` bytes. A zero view has its own control block (so
+    /// use_count() means what it means for a private payload) but points
+    /// into the shared zero region, which is never written.
+    std::shared_ptr<std::byte[]> bytes;
+
+    bool zero_view() const;
   };
 
   /// Live blocks in ascending base order.

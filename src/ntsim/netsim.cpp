@@ -1,6 +1,7 @@
 #include "ntsim/netsim.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "ntsim/kernel.h"  // Machine::name(), for per-link config resolution
 
@@ -9,26 +10,39 @@ namespace dts::nt::net {
 // ---------------------------------------------------------------- Stream
 
 void Stream::deliver(std::string&& payload) {
-  if (read_pos == buffer.size()) {
+  if (unread() == 0) {
     buffer = std::move(payload);
     read_pos = 0;
     return;
   }
+  unshare();
   buffer.erase(0, read_pos);
   read_pos = 0;
   buffer += payload;
 }
 
-std::string Stream::consume(std::size_t n) {
-  if (read_pos == 0 && n >= buffer.size() - n) {
-    // The read takes at least half the buffer: move the buffer out and copy
-    // the (smaller) tail back. The returned string keeps the whole capacity,
-    // so a reader that appends the rest of the message does not reallocate.
-    std::string out = std::move(buffer);
-    buffer.assign(out, n);
-    out.resize(n);
-    return out;
+void Stream::deliver(std::shared_ptr<const std::string> payload) {
+  if (unread() == 0) {
+    buffer.clear();
+    read_pos = 0;
+    shared = std::move(payload);
+    return;
   }
+  unshare();
+  buffer.erase(0, read_pos);
+  read_pos = 0;
+  buffer += *payload;
+}
+
+void Stream::unshare() {
+  if (shared == nullptr) return;
+  buffer.assign(*shared);
+  read_pos = 0;
+  shared.reset();
+}
+
+std::string Stream::consume(std::size_t n) {
+  unshare();
   std::string out = buffer.substr(read_pos, n);
   read_pos += n;
   if (read_pos == buffer.size()) {
@@ -38,14 +52,23 @@ std::string Stream::consume(std::size_t n) {
   return out;
 }
 
+std::shared_ptr<const std::string> Stream::take_all() {
+  if (shared != nullptr) return std::exchange(shared, nullptr);
+  auto out = read_pos == 0 ? std::make_shared<const std::string>(std::move(buffer))
+                           : std::make_shared<const std::string>(buffer, read_pos);
+  buffer.clear();
+  read_pos = 0;
+  return out;
+}
+
 // ---------------------------------------------------------------- Socket
 
-void Socket::send(std::string data) {
-  if (closed_ || data.empty()) return;
+template <typename Payload>
+void Socket::enqueue(Payload payload, std::size_t size) {
   sim::Simulation& sim = net_->sim();
   const NetworkConfig& cfg = cfg_;  // the link this connection was made over
   const auto transfer = sim::Duration::micros(
-      static_cast<std::int64_t>(data.size()) * 1'000'000 /
+      static_cast<std::int64_t>(size) * 1'000'000 /
       static_cast<std::int64_t>(cfg.bytes_per_second));
   sim::TimePoint deliver_at = sim.now() + cfg.latency + transfer;
   // Preserve FIFO ordering with earlier in-flight sends on this stream.
@@ -53,11 +76,23 @@ void Socket::send(std::string data) {
   tx_->earliest_delivery = deliver_at;
 
   std::shared_ptr<Stream> tx = tx_;
-  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(data)]() mutable {
+  sim.schedule_at(deliver_at, [&sim, tx, payload = std::move(payload)]() mutable {
     if (tx->eof) return;  // connection already reset
     tx->deliver(std::move(payload));
     tx->wake_readers(sim);
   });
+}
+
+void Socket::send(std::string data) {
+  if (closed_ || data.empty()) return;
+  const std::size_t size = data.size();
+  enqueue(std::move(data), size);
+}
+
+void Socket::send(std::shared_ptr<const std::string> data) {
+  if (closed_ || data == nullptr || data->empty()) return;
+  const std::size_t size = data->size();
+  enqueue(std::move(data), size);
 }
 
 sim::CoTask<std::optional<std::string>> Socket::recv(Ctx c, std::size_t max,
@@ -83,6 +118,7 @@ sim::CoTask<std::optional<std::string>> Socket::recv_until(
   sim::Simulation& sim = net_->sim();
   const sim::TimePoint deadline = sim.now() + timeout.value_or(sim::Duration{});
   for (;;) {
+    rx_->unshare();
     const auto pos = rx_->buffer.find(delim, rx_->read_pos);
     if (pos != std::string::npos) {
       co_return rx_->consume(pos + delim.size() - rx_->read_pos);
@@ -97,6 +133,36 @@ sim::CoTask<std::optional<std::string>> Socket::recv_until(
     if (timeout) remaining = deadline - sim.now();
     const sim::WakeReason reason = co_await await_token(c, tok, remaining);
     if (reason == sim::WakeReason::kTimeout) co_return std::nullopt;
+  }
+}
+
+sim::CoTask<Reply> Socket::recv_to_eof(Ctx c, sim::Duration timeout) {
+  sim::Simulation& sim = net_->sim();
+  const sim::TimePoint deadline = sim.now() + timeout;
+  Reply out;
+  for (;;) {
+    if (sim.now() >= deadline) co_return out;  // timeout
+    // Bytes or EOF that arrived with the wake count even at the deadline.
+    while (rx_->unread() == 0) {
+      if (rx_->eof) {
+        out.complete = true;
+        co_return out;
+      }
+      if (sim.now() >= deadline) co_return out;
+      auto tok = make_wait(c);
+      rx_->read_waiters.push_back(tok);
+      const sim::WakeReason reason = co_await await_token(c, tok, deadline - sim.now());
+      if (reason == sim::WakeReason::kTimeout) co_return out;
+    }
+    auto chunk = rx_->take_all();
+    if (out.bytes == nullptr) {
+      out.bytes = std::move(chunk);
+    } else {  // the reply came in several deliveries
+      auto joined = std::make_shared<std::string>();
+      joined->reserve(out.bytes->size() + chunk->size());
+      joined->append(*out.bytes).append(*chunk);
+      out.bytes = std::move(joined);
+    }
   }
 }
 

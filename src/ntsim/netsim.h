@@ -38,29 +38,52 @@ class Listener;
 /// One direction of a connection. Reads consume from `read_pos` instead of
 /// erasing the front of `buffer`, so a partial read costs only the bytes it
 /// returns; the consumed prefix is dropped when the next delivery lands.
+///
+/// A shared immutable payload delivered into an empty stream is held as
+/// `shared`, without copying; a reader that takes all unread bytes gets the
+/// same pointer back. Any other read, or a delivery behind it, first copies
+/// it into `buffer` (unshare()).
 struct Stream {
   std::string buffer;        // delivered bytes; [read_pos, size) are unread
   std::size_t read_pos = 0;  // first unread byte of `buffer`
+  std::shared_ptr<const std::string> shared;  // when set: the only unread bytes
   bool eof = false;          // sender closed (or crashed)
   std::vector<sim::WakePtr> read_waiters;
   sim::TimePoint earliest_delivery;  // FIFO ordering of in-flight sends
 
-  std::size_t unread() const { return buffer.size() - read_pos; }
+  std::size_t unread() const { return shared ? shared->size() : buffer.size() - read_pos; }
 
   /// Appends a delivered payload. Into an empty stream it is moved, not
   /// copied; otherwise the consumed prefix is dropped before appending.
   void deliver(std::string&& payload);
 
-  /// Removes and returns the first `n` unread bytes (n <= unread()). A read
-  /// from the front of at least half the buffer moves the buffer out and
-  /// copies only the remainder back.
+  /// Appends a shared payload: held as is into an empty stream, copied
+  /// behind unread bytes otherwise.
+  void deliver(std::shared_ptr<const std::string> payload);
+
+  /// Copies a held shared payload into `buffer` so byte-level reads can run.
+  void unshare();
+
+  /// Removes and returns (copies) the first `n` unread bytes
+  /// (n <= unread()). Whole payloads go through take_all() instead.
   std::string consume(std::size_t n);
+
+  /// Removes and returns every unread byte (unread() > 0): a held shared
+  /// payload itself, else the buffer moved out.
+  std::shared_ptr<const std::string> take_all();
 
   void wake_readers(sim::Simulation& sim) {
     auto pending = std::move(read_waiters);
     read_waiters.clear();
     for (auto& tok : pending) sim::wake(sim, tok, sim::WakeReason::kSignaled);
   }
+};
+
+/// What Socket::recv_to_eof collected: the bytes (null if none arrived) and
+/// whether the peer's close ended the read (false: the timeout did).
+struct Reply {
+  std::shared_ptr<const std::string> bytes;
+  bool complete = false;
 };
 
 /// One endpoint of an established connection. Each socket carries the
@@ -82,6 +105,11 @@ class Socket {
   /// the peer's receive buffer without being copied.
   void send(std::string data);
 
+  /// Same, for an immutable payload the sender keeps sharing (a cached
+  /// response): delivered into an empty receive buffer it is not copied.
+  /// Transfer time still follows its size.
+  void send(std::shared_ptr<const std::string> data);
+
   /// Receives up to `max` bytes. Blocks until data, EOF or timeout. Returns
   /// nullopt on timeout; empty string on EOF.
   sim::CoTask<std::optional<std::string>> recv(Ctx c, std::size_t max,
@@ -94,6 +122,11 @@ class Socket {
                                                      std::size_t max,
                                                      std::optional<sim::Duration> timeout = {});
 
+  /// Receives everything the peer sends until it closes, bounded by
+  /// `timeout`, taking all delivered bytes at once: a shared payload that
+  /// arrived alone comes back as the sender's pointer.
+  sim::CoTask<Reply> recv_to_eof(Ctx c, sim::Duration timeout);
+
   /// Receives exactly `n` bytes (or nullopt on EOF/timeout).
   sim::CoTask<std::optional<std::string>> recv_exactly(Ctx c, std::size_t n,
                                                        std::optional<sim::Duration> timeout = {});
@@ -105,6 +138,11 @@ class Socket {
   void close();
 
  private:
+  /// Schedules `payload` (`size` bytes) for delivery after latency +
+  /// size/bandwidth, behind any earlier send on this stream.
+  template <typename Payload>
+  void enqueue(Payload payload, std::size_t size);
+
   Network* net_;
   std::shared_ptr<Stream> rx_;
   std::shared_ptr<Stream> tx_;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -21,6 +22,7 @@
 #include "dist/coordinator.h"
 #include "exec/journal.h"
 #include "forensics/replay.h"
+#include "inject/fault_list.h"
 #include "journal_norm.h"
 #include "obs/fleet/report.h"
 #include "snap/fork_runner.h"
@@ -145,6 +147,46 @@ TEST(JournalIdentity, ThreeTierAcrossModes) {
 
 TEST(JournalIdentity, TracedThreeTierAcrossModes) {
   expect_identical_journals(kTracedThreeTier, "ji_traced");
+}
+
+// An explicit fault list runs the same in-process (`ntdts run` without
+// --workers) and distributed: both journal headers embed the config with its
+// `fault_list_file` line, and the records agree.
+TEST(JournalIdentity, ExplicitFaultListJobsMatchDistributed) {
+  core::DtsConfig cfg = parse_or_die(kClassic);
+  const inject::FaultList list =
+      inject::FaultList::for_functions(cfg.run.workload.target_image,
+                                       core::profile_workload(cfg.run, cfg.campaign.seed))
+          .sampled(24);
+  cfg.fault_list_file = temp_path("ji_explicit_list");
+  std::ofstream(cfg.fault_list_file) << list.serialize();
+
+  core::CampaignOptions opt = cfg.campaign;
+  opt.jobs = 2;
+  const std::string local_path = temp_path("ji_explicit_jobs");
+  std::filesystem::remove(local_path);
+  opt.journal_path = local_path;
+  const core::WorkloadSetResult local =
+      core::run_fault_list(cfg.run, opt, list, cfg.fault_list_file);
+
+  const std::string remote_path = temp_path("ji_explicit_dist");
+  std::filesystem::remove(remote_path);
+  opt.journal_path = remote_path;
+  dist::DistOptions d;
+  d.spawn_workers = 2;
+  const core::WorkloadSetResult remote = dist::run_workload_set_distributed(
+      cfg.run, opt, std::move(d), list, cfg.fault_list_file);
+  EXPECT_EQ(core::serialize_workload_set(remote), core::serialize_workload_set(local));
+
+  const NormalJournal want = normalise_journal(local_path);
+  const NormalJournal have = normalise_journal(remote_path);
+  EXPECT_NE(want.header.find("fault_list_file = " + cfg.fault_list_file), std::string::npos);
+  EXPECT_EQ(have.header, want.header);
+  EXPECT_EQ(want.records.size(), list.faults.size());
+  EXPECT_EQ(have.records, want.records);
+  std::filesystem::remove(cfg.fault_list_file);
+  std::filesystem::remove(local_path);
+  std::filesystem::remove(remote_path);
 }
 
 /// Record lines keyed by fault id, with everything that names the record's

@@ -61,6 +61,34 @@ TEST_F(SyscallFixture, SetFilePointerSemantics) {
   EXPECT_TRUE(checked);
 }
 
+// ReadFile takes its slice of the file when called and copies it into the
+// user buffer after the I/O time: a write landing during that sleep clones
+// the file's content and leaves the bytes being read as they were.
+TEST_F(SyscallFixture, ReadFileReturnsTheBytesAsOfTheCall) {
+  m.fs().put_file("C:\\f.txt", std::string(12000, 'a'));  // a 2 ms read
+  bool checked = false;
+  run_body([&](Ctx c, Kernel32& k) -> sim::CoTask<void> {
+    auto& mem = c.process->mem();
+    const Word h = co_await k.call(c, Fn::CreateFileA, mem.alloc_cstr("C:\\f.txt").addr,
+                                   kGenericRead, 1, 0, kOpenExisting, 0, 0);
+    const Ptr buf = mem.alloc(16384);
+    const Ptr n = mem.alloc(4);
+    c.m().sim().schedule(Duration::millis(1), [this] {
+      EXPECT_EQ(m.fs().write("c:\\f.txt", 0, "ZZZZ"), Win32Error::kSuccess);
+    });
+    EXPECT_EQ(co_await k.call(c, Fn::ReadFile, h, buf.addr, 16384, n.addr, 0), 1u);
+    EXPECT_EQ(mem.read_u32(n), 12000u);
+    EXPECT_EQ(mem.read_bytes(buf, 4), "aaaa");
+    EXPECT_EQ(m.fs().get_file("C:\\f.txt")->substr(0, 5), "ZZZZa");  // the write landed
+    // A read issued after the write sees it.
+    (void)co_await k.call(c, Fn::SetFilePointer, h, 0, 0, kFileBegin);
+    EXPECT_EQ(co_await k.call(c, Fn::ReadFile, h, buf.addr, 16384, n.addr, 0), 1u);
+    EXPECT_EQ(mem.read_bytes(buf, 5), "ZZZZa");
+    checked = true;
+  });
+  EXPECT_TRUE(checked);
+}
+
 TEST_F(SyscallFixture, WrongArityThrowsThroughBothOverloads) {
   int thrown = 0;
   bool dispatched = false;

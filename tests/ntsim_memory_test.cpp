@@ -3,6 +3,7 @@
 
 #include "ntsim/filesystem.h"
 #include "ntsim/memory.h"
+#include "snap/snapshot.h"
 
 namespace dts::nt {
 namespace {
@@ -166,6 +167,76 @@ TEST(VirtualMemory, RestoredPayloadsSharedUntilFirstWrite) {
   EXPECT_EQ(vm.read_cstr(b), "other");
 }
 
+// Blocks of at least kLazyZeroMin start as views of the shared zero region
+// and get their own bytes on the first write.
+TEST(VirtualMemory, LazilyZeroedBlockReadsZerosAndClonesOnFirstWrite) {
+  VirtualMemory vm;
+  const Ptr big = vm.alloc(64 * 1024);
+  const Ptr other = vm.alloc(64 * 1024);
+  const Ptr small = vm.alloc(1024);
+  EXPECT_EQ(vm.read_bytes(big.offset(60000), 8), std::string(8, '\0'));
+  const VirtualMemory::Snapshot before = vm.capture();
+  EXPECT_TRUE(before.blocks[0].zero_view());
+  EXPECT_TRUE(before.blocks[1].zero_view());
+  EXPECT_FALSE(before.blocks[2].zero_view());  // below kLazyZeroMin: eager
+
+  vm.write_cstr(big.offset(100), "hello");
+  EXPECT_EQ(vm.read_cstr(big.offset(100)), "hello");
+  EXPECT_EQ(vm.read_bytes(other.offset(100), 5), std::string(5, '\0'));
+  EXPECT_EQ(vm.read_bytes(small.offset(100), 5), std::string(5, '\0'));
+  EXPECT_TRUE(before.blocks[1].zero_view());  // the other view is untouched
+  EXPECT_EQ(vm.cow_copies(), 1u);             // `before` shared the block
+
+  VirtualMemory fresh;
+  const Ptr p = fresh.alloc(VirtualMemory::kLazyZeroMin);
+  fresh.write_u32(p.offset(4), 7);
+  EXPECT_EQ(fresh.cow_copies(), 0u);  // nothing shared it: not a COW clone
+  EXPECT_EQ(fresh.read_u32(p), 0u);
+  EXPECT_EQ(fresh.read_u32(p.offset(4)), 7u);
+
+  vm.restore(before);
+  EXPECT_EQ(vm.read_cstr(big.offset(100)), "");
+}
+
+// A lazily zeroed block stands for the private zeroed block it replaces:
+// snapshots, their COW accounting and the world digest cannot tell them apart.
+TEST(VirtualMemory, LazilyZeroedBlockSnapshotsLikeAnEagerOne) {
+  VirtualMemory lazy, eager;
+  const Ptr a = lazy.alloc(100'000);
+  const Ptr b = eager.alloc(100'000);
+  eager.write_u32(b, 0);  // writing makes the block private, still all zeros
+  CowStats lazy_stats, eager_stats;
+  const VirtualMemory::Snapshot ls = lazy.capture(&lazy_stats);
+  const VirtualMemory::Snapshot es = eager.capture(&eager_stats);
+  ASSERT_TRUE(ls.blocks[0].zero_view());
+  ASSERT_FALSE(es.blocks[0].zero_view());
+  EXPECT_EQ(ls, es);
+  auto same_stats = [](const CowStats& x, const CowStats& y) {
+    return x.shared_blocks == y.shared_blocks && x.copied_blocks == y.copied_blocks &&
+           x.shared_bytes == y.shared_bytes && x.copied_bytes == y.copied_bytes;
+  };
+  EXPECT_TRUE(same_stats(lazy_stats, eager_stats));
+  EXPECT_EQ(lazy_stats.copied_blocks, 1u);
+  // A second capture finds each block shared with the first.
+  CowStats lazy_again, eager_again;
+  (void)lazy.capture(&lazy_again);
+  (void)eager.capture(&eager_again);
+  EXPECT_TRUE(same_stats(lazy_again, eager_again));
+  EXPECT_EQ(lazy_again.shared_blocks, 1u);
+
+  snap::WorldSnapshot lw, ew;
+  lw.target.processes[100] = Machine::ProcessSnapshot{"t.exe", ls, {}};
+  ew.target.processes[100] = Machine::ProcessSnapshot{"t.exe", es, {}};
+  EXPECT_EQ(snap::world_digest(lw), snap::world_digest(ew));
+
+  // Round trip: a write, then a restore back to the view.
+  lazy.write_cstr(a.offset(5), "dirty");
+  EXPECT_NE(lazy.capture(), ls);
+  lazy.restore(ls);
+  EXPECT_EQ(lazy.capture(), es);
+  EXPECT_EQ(lazy.read_bytes(a.offset(5), 5), std::string(5, '\0'));
+}
+
 // ---------------------------------------------------------------- filesystem
 
 TEST(Filesystem, NormalizePaths) {
@@ -222,11 +293,11 @@ TEST(Filesystem, ReadWriteOffsets) {
   Filesystem fs;
   fs.put_file("C:\\f", "0123456789");
   const std::string key = Filesystem::fold(*Filesystem::normalize("C:\\f"));
-  std::string out;
+  Filesystem::Slice out;
   EXPECT_EQ(fs.read(key, 3, 4, &out), Win32Error::kSuccess);
-  EXPECT_EQ(out, "3456");
+  EXPECT_EQ(out.bytes(), "3456");
   EXPECT_EQ(fs.read(key, 100, 4, &out), Win32Error::kSuccess);
-  EXPECT_EQ(out, "");  // EOF
+  EXPECT_EQ(out.bytes(), "");  // EOF
   EXPECT_EQ(fs.write(key, 8, "XYZ"), Win32Error::kSuccess);
   EXPECT_EQ(fs.get_file("C:\\f"), "01234567XYZ");
 }

@@ -2,6 +2,11 @@
 // refusal when no listener exists, resets on process death.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "ntsim/kernel.h"
 #include "ntsim/netsim.h"
 
@@ -435,6 +440,157 @@ TEST(NetBuffer, AtEofStaysFalseWhileUnreadBytesRemain) {
   EXPECT_EQ(got[0], "12");
   EXPECT_EQ(got[1], "345");
   EXPECT_EQ(got[2], "");  // orderly EOF
+}
+
+// --- shared immutable payloads ---------------------------------------------
+// A shared payload delivered into an empty stream is held without copying and
+// handed back whole; any other read or a delivery behind it copies it into the
+// buffer first, so byte-level reads see exactly the bytes, in order.
+
+std::shared_ptr<const std::string> page_of(std::size_t n) {
+  std::string bytes(n, '.');
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<char>('a' + i % 26);
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+TEST(NetBuffer, SharedPayloadIntoEmptyStreamComesBackAsTheSamePointer) {
+  NetWorld w;
+  const auto page = page_of(115'000);
+  net::Reply got;
+  run_buffered(
+      w,
+      [&](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send(page);
+        sock.close();
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        got = co_await sock.recv_to_eof(c, Duration::seconds(1));
+      });
+  EXPECT_TRUE(got.complete);
+  EXPECT_EQ(got.bytes, page);  // the sender's pointer: no copy was made
+}
+
+TEST(NetBuffer, SharedPayloadBehindUnreadBytesKeepsOrder) {
+  NetWorld w;
+  const auto page = page_of(1000);
+  net::Reply got;
+  run_buffered(
+      w,
+      [&](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send("head|");
+        sock.send(page);     // lands behind unread bytes: copied in
+        sock.send("|tail");  // lands behind them too
+        sock.close();
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        got = co_await sock.recv_to_eof(c, Duration::seconds(1));
+      });
+  EXPECT_TRUE(got.complete);
+  ASSERT_NE(got.bytes, nullptr);
+  EXPECT_EQ(*got.bytes, "head|" + *page + "|tail");
+}
+
+TEST(NetBuffer, BytesBehindAHeldSharedPayloadKeepOrder) {
+  NetWorld w;
+  const auto page = page_of(1000);
+  net::Reply got;
+  run_buffered(
+      w,
+      [&](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send(page);     // held as is: the stream was empty
+        sock.send("|tail");  // unshares the held payload, then appends
+        sock.close();
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        got = co_await sock.recv_to_eof(c, Duration::seconds(1));
+      });
+  EXPECT_TRUE(got.complete);
+  ASSERT_NE(got.bytes, nullptr);
+  EXPECT_EQ(*got.bytes, *page + "|tail");
+}
+
+TEST(NetBuffer, RecvUntilAndRecvExactlyReadAcrossASharedPayload) {
+  NetWorld w;
+  std::optional<std::string> first, middle, last;
+  net::Reply rest;
+  run_buffered(
+      w,
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send(std::make_shared<const std::string>("abc\ndef"));
+        co_await sleep_in_sim(c, Duration::millis(700));
+        sock.send(std::make_shared<const std::string>("ghi\nz"));
+        sock.close();
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        first = co_await sock.recv_until(c, "\n", 64, Duration::seconds(1));
+        // "def" is buffered; the rest arrives as a second shared payload.
+        middle = co_await sock.recv_exactly(c, 5, Duration::seconds(2));
+        last = co_await sock.recv_until(c, "\n", 64, Duration::seconds(1));
+        rest = co_await sock.recv_to_eof(c, Duration::seconds(1));
+      });
+  EXPECT_EQ(first, "abc\n");
+  EXPECT_EQ(middle, "defgh");
+  EXPECT_EQ(last, "i\n");
+  EXPECT_TRUE(rest.complete);
+  ASSERT_NE(rest.bytes, nullptr);
+  EXPECT_EQ(*rest.bytes, "z");
+}
+
+TEST(NetBuffer, EofAndLocalResetWhileASharedPayloadIsUnread) {
+  NetWorld w;
+  const auto page = page_of(64);
+  std::vector<bool> eof_seen;
+  std::optional<std::string> head;
+  net::Reply rest;
+  run_buffered(
+      w,
+      [&](Ctx, net::Socket& sock) -> sim::CoTask<void> {
+        sock.send(page);
+        sock.close();
+        co_return;
+      },
+      [&](Ctx c, net::Socket& sock) -> sim::CoTask<void> {
+        eof_seen.push_back(sock.at_eof());  // peer closed, 64 bytes unread
+        head = co_await sock.recv(c, 4, Duration::seconds(1));
+        sock.close();  // our own reset: delivered bytes stay readable
+        eof_seen.push_back(sock.at_eof());
+        rest = co_await sock.recv_to_eof(c, Duration::seconds(1));
+        eof_seen.push_back(sock.at_eof());
+      });
+  EXPECT_EQ(eof_seen, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(head, page->substr(0, 4));
+  EXPECT_TRUE(rest.complete);
+  ASSERT_NE(rest.bytes, nullptr);
+  EXPECT_EQ(*rest.bytes, page->substr(4));
+}
+
+TEST(NetBuffer, SharedPayloadInFlightToAResetStreamIsDropped) {
+  NetWorld w;
+  const auto page = page_of(4096);
+  net::Reply got;
+  w.server.register_program("server.exe", [&](Ctx c) -> sim::Task {
+    auto listener = w.net.listen("target", 80);
+    auto sock = co_await listener->accept(c);
+    sock->close();  // reset before the payload lands
+    got = co_await sock->recv_to_eof(c, Duration::seconds(1));
+  });
+  w.client.register_program("client.exe", [&](Ctx c) -> sim::Task {
+    co_await sleep_in_sim(c, Duration::millis(10));
+    auto sock = co_await w.net.connect(c, "target", 80);
+    EXPECT_NE(sock, nullptr);
+    if (sock == nullptr) co_return;
+    sock->send(page);
+    co_await sleep_in_sim(c, Duration::seconds(5));
+  });
+  w.server.start_process("server.exe", "server.exe");
+  w.client.start_process("client.exe", "client.exe");
+  w.simu.run_until(w.simu.now() + Duration::seconds(10));
+  EXPECT_TRUE(got.complete);
+  EXPECT_EQ(got.bytes, nullptr);
+  EXPECT_EQ(page.use_count(), 1);  // the dropped delivery released its share
 }
 
 }  // namespace

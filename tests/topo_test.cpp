@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/config.h"
@@ -310,6 +313,49 @@ TEST(TopoRun, RedundantTierMasksInstanceFaults) {
     // never take out every request.
     EXPECT_NE(run.topo->user_outcome, "outage") << run.fault.id();
   }
+}
+
+// IIS caches its first formatted response and sends that one shared string on
+// every later hit; an app relay compares a reply's bytes once per pointer that
+// passed. A cache filled with the wrong body — GetFileSize on a zeroed handle
+// fails, so IIS caches an empty page — must fail every check on that replica:
+// a failing reply is never remembered.
+TEST(TopoRun, CorruptedIisCacheFillFailsEveryRelayCheck) {
+  const core::DtsConfig cfg = parse_or_die(
+      "[test]\n"
+      "middleware = none\n"
+      "seed = 7\n"
+      "\n"
+      "[topology]\n"
+      "topology = lb:2*apache -> app:2*iis -> db:1*sql_server\n"
+      "tier = app\n"
+      "rtrace = all\n");
+  inject::FaultSpec fault;
+  fault.target_image = cfg.run.workload.target_image;
+  fault.fn = nt::Fn::GetFileSize;
+  fault.param_index = 0;
+  fault.invocation = 1;
+  fault.type = inject::FaultType::kZero;
+  fault.tier = "app";
+  const core::RunResult run = core::execute_run(cfg.run, fault);
+  ASSERT_TRUE(run.rtrace.has_value());
+
+  std::map<std::string, std::vector<std::string>> checks;  // replica -> outcomes
+  for (const auto& s : run.rtrace->spans) {
+    if (s.name == "app.check" && s.tier == "app") checks[s.replica].push_back(s.outcome);
+  }
+  ASSERT_EQ(checks.size(), 2u);
+  std::size_t failing_replicas = 0;
+  for (const auto& [replica, outcomes] : checks) {
+    const auto errs = std::count(outcomes.begin(), outcomes.end(), "err");
+    if (errs == 0) continue;
+    ++failing_replicas;
+    EXPECT_GE(outcomes.size(), 2u) << replica;
+    EXPECT_EQ(static_cast<std::size_t>(errs), outcomes.size()) << replica;
+  }
+  EXPECT_EQ(failing_replicas, 1u);
+  ASSERT_TRUE(run.topo.has_value());
+  EXPECT_EQ(run.topo->user_outcome, "masked");  // the other replica serves
 }
 
 // --- byte-identity --------------------------------------------------------

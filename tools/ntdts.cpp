@@ -814,17 +814,10 @@ int cmd_run(const std::string& config_path, const std::string& out_dir,
       };
     }
     set = dist::run_workload_set_distributed(cfg->run, cfg->campaign, std::move(d),
-                                             explicit_faults);
+                                             explicit_faults, cfg->fault_list_file);
   } else if (explicit_faults) {
-    // Run exactly the listed faults (no skip-uncalled: the user asked for
-    // precisely these), sharded across the same executor.
-    set.base_config = cfg->run;
-    set.activated_functions = core::profile_workload(cfg->run, cfg->campaign.seed);
-    exec::ExecOptions eo = core::exec_options_from(cfg->run, cfg->campaign);
-    eo.config_text = core::serialize_config(*cfg);  // names the fault list file too
-    eo.skip_uncalled = false;
-    exec::CampaignExecutor executor(std::move(eo));
-    set.runs = executor.run(cfg->run, *explicit_faults, cfg->campaign.seed).runs;
+    set = core::run_fault_list(cfg->run, cfg->campaign, *explicit_faults,
+                               cfg->fault_list_file);
   } else {
     set = core::run_workload_set(cfg->run, cfg->campaign);
   }

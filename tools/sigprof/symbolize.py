@@ -3,13 +3,16 @@
 
     python3 tools/sigprof/symbolize.py sigprof.<pid>.txt [--top N] [--callers M]
 
-Prints four tables, each as a share of all samples:
+Prints five tables, each as a share of all samples:
   self       the function executing when the sample was taken (leaf frame);
   inclusive  functions anywhere on the stack (counted once per sample);
   callers    for the M hottest self functions, the source lines that called
              them (the frame just above the leaf);
   lib leaves samples whose leaf is in a shared library, billed to the first
-             frame whose function is defined under src/.
+             frame whose function is defined under src/;
+  host mem   the same samples named by the libc operation they perform
+             (memcpy, memmove, memcmp, memset, malloc, free), each with the
+             src/ functions it is billed to.
 Needs addr2line (binutils) and binaries built with debug info, such as the
 default RelWithDebInfo build. Each frame is named by its physical function,
 the outermost entry of `addr2line -i`: code inlined into a function is
@@ -20,7 +23,15 @@ libraries are prefixed with the library name. A stripped library only
 resolves to its nearest exported symbol: libc's memcpy/memmove/memcmp and
 malloc variants, for instance, show up under unrelated neighbouring names
 such as `libc.so.6!__nss_database_lookup` or `__default_morecore`; the
-lib-leaves table says which of our functions those samples belong to.
+lib-leaves table says which of our functions those samples belong to, and
+the host-memory table names the operation from the first frame outside libc
+that called it: the innermost inlined std-header function on that line
+(`char_traits::copy` is memcpy, `char_traits::compare` memcmp,
+`stl_algobase.h` fill memset, `new_allocator.h` allocate malloc, ...),
+`operator new`/`operator delete`, or a src/ line that calls memcpy & co.
+directly. A sample whose caller says nothing (a tail call: `operator delete`
+jumps to free, a small wrapper to memcpy) takes the operation most often
+named for the same leaf address.
 """
 
 import argparse
@@ -76,9 +87,9 @@ def locate(addr, maps, bases):
 
 
 # One symbolised stack frame: the physical function's name, the innermost
-# source line, the physical function's own line (`home`), and whether the
-# frame lies in a shared library.
-Frame = collections.namedtuple("Frame", "fn line home in_lib")
+# source line and inlined function (`inl`), the physical function's own line
+# (`home`), the file it lies in, and whether that is a shared library.
+Frame = collections.namedtuple("Frame", "fn line inl home path in_lib")
 
 
 def symbolise(samples, maps):
@@ -111,8 +122,8 @@ def symbolise(samples, maps):
                 fn = f"{lib}+{a:#x}"
             elif ".so" in lib:
                 fn = f"{lib}!{fn}"
-            names[(path, a)] = Frame(fn, chain[0][1], home, ".so" in lib)
-    unknown = Frame("??", "??:0", "??:0", False)
+            names[(path, a)] = Frame(fn, chain[0][1], chain[0][0], home, path, ".so" in lib)
+    unknown = Frame("??", "??:0", "??", "??:0", "", False)
     return [[names.get(loc, unknown) if loc else unknown for loc in row] for row in keyed]
 
 
@@ -140,6 +151,60 @@ def in_src(line):
     return "/src/" in line.split(":")[0]
 
 
+# Innermost inlined std functions whose libc call is a known memory
+# operation, by (header, function-name fragment).
+STD_OPS = [
+    ("char_traits.h", "::copy(", "memcpy"),
+    ("char_traits.h", "::move(", "memmove"),
+    ("char_traits.h", "::compare(", "memcmp"),
+    ("char_traits.h", "::assign(", "memset"),
+    ("stl_algobase.h", "fill", "memset"),
+    ("stl_algobase.h", "copy", "memmove"),
+    ("stl_algobase.h", "equal", "memcmp"),
+    ("new_allocator.h", "deallocate(", "free"),  # before its substring
+    ("new_allocator.h", "allocate(", "malloc"),
+]
+# Direct calls on a src/ line, in the order they are looked for.
+SRC_OPS = ["memcpy", "memmove", "memcmp", "memset", "memchr"]
+
+
+@functools.lru_cache(maxsize=None)
+def source_line(loc):
+    """The text of `file:line`, or "" when unreadable."""
+    path, _, num = loc.rpartition(":")
+    try:
+        with open(path) as f:
+            for i, text in enumerate(f, 1):
+                if i == int(num):
+                    return text
+    except (OSError, ValueError):
+        pass
+    return ""
+
+
+def libc_operation(stack):
+    """Names the libc operation a shared-library leaf sample performs, from
+    the first frame above it that is not in libc; None when unknown."""
+    caller = next((f for f in stack[1:] if not os.path.basename(f.path).startswith("libc.")),
+                  None)
+    if caller is None:
+        return None
+    if caller.in_lib:  # libstdc++'s allocation entry points
+        if "operator new" in caller.fn:
+            return "malloc"
+        if "operator delete" in caller.fn:
+            return "free"
+        return None
+    header = os.path.basename(caller.line.split(":")[0])
+    for want, fragment, op in STD_OPS:
+        if header == want and fragment in caller.inl:
+            return op
+    if in_src(caller.line):
+        text = source_line(caller.line)
+        return next((op for op in SRC_OPS if op + "(" in text), None)
+    return None
+
+
 def short(fn, width=110):
     return fn if len(fn) <= width else fn[: width - 3] + "..."
 
@@ -165,7 +230,8 @@ def main():
     callers = collections.defaultdict(collections.Counter)
     lib_billed = collections.Counter()
     lib_leaves = collections.defaultdict(collections.Counter)
-    for s in stacks:
+    libc_ops = []  # (leaf address, operation or None, owner) per libc leaf
+    for raw, s in zip(samples, stacks):
         incl_count.update({f.fn for f in s})
         if len(s) > 1:
             callers[s[0].fn][s[1].line] += 1
@@ -173,6 +239,19 @@ def main():
             owner = next((f.fn for f in s[1:] if in_src(f.home)), "(no src/ frame)")
             lib_billed[owner] += 1
             lib_leaves[owner][s[0].fn] += 1
+            if os.path.basename(s[0].path).startswith("libc."):
+                libc_ops.append((raw[0], libc_operation(s), owner))
+    by_addr = collections.defaultdict(collections.Counter)
+    for addr, op, _ in libc_ops:
+        if op is not None:
+            by_addr[addr][op] += 1
+    op_count = collections.Counter()
+    op_owners = collections.defaultdict(collections.Counter)
+    for addr, op, owner in libc_ops:
+        if op is None:
+            op = by_addr[addr].most_common(1)[0][0] if by_addr[addr] else "(other libc)"
+        op_count[op] += 1
+        op_owners[op][owner] += 1
 
     print(f"{total} samples")
     print("\n  self%  function")
@@ -191,6 +270,11 @@ def main():
         leaves = ", ".join(leaf for leaf, _ in lib_leaves[fn].most_common(3))
         print(f"{100.0 * n / total:7.2f}  {short(fn)}")
         print(f"           via {short(leaves, 100)}")
+    print("\n  host%  libc leaves by operation, billed to the first src/ frame")
+    for op, n in op_count.most_common():
+        print(f"{100.0 * n / total:7.2f}  {op}")
+        for owner, m in op_owners[op].most_common(5):
+            print(f"  {100.0 * m / total:7.2f}    {short(owner, 100)}")
     return 0
 
 
